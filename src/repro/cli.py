@@ -192,11 +192,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _bench_jobs(args: argparse.Namespace) -> int:
-    """Effective pool size: --jobs, else --workers, else all CPUs."""
+    """Effective pool size: --jobs, else all CPUs."""
     if args.jobs is not None:
         return args.jobs
-    if args.workers is not None:
-        return args.workers
     return os.cpu_count() or 1
 
 
@@ -622,10 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: all CPUs; 1 = the serial path; the metrics "
              "fingerprint is identical for any value, and reports are "
              "byte-identical under --stable)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated alias for --jobs",
     )
     bench.add_argument(
         "--stream-shards", type=int, default=None, metavar="N",

@@ -15,7 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import random
+import stat
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -996,8 +999,30 @@ def golden_filename(scenario_name: str, fast: bool) -> str:
 
 
 def write_report(report: BenchReport, path: str, stable: bool = False) -> None:
-    with open(path, "w") as handle:
-        handle.write(report.to_json(stable))
+    """Write ``report`` to ``path`` atomically.
+
+    The JSON goes to a temporary file in the target directory, which
+    then replaces ``path`` in one ``os.replace``.  A write that fails or
+    is interrupted (a ``--regen`` over a committed golden, say) leaves
+    the previous file byte-identical and no temporary file behind.  An
+    existing file keeps its permission bits.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = 0o644
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json(stable))
+        os.chmod(tmp_path, mode)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def validate_report(data: dict) -> None:

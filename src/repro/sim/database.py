@@ -306,7 +306,7 @@ class SimulatedDatabase:
         full_extents = self._sequential_extents(0, pages_per_fragment, prefetch)
         full_batches = batch_extents(full_extents, coalesce)
         full_extent_count = len(full_extents)
-        spread_batches: dict[
+        batches_by_count: dict[
             int, tuple[list[tuple[list[tuple[int, int]], int]], int, int]
         ] = {}
 
@@ -345,7 +345,7 @@ class SimulatedDatabase:
                 extent_count = full_extent_count
             else:
                 count = counts[i]
-                cached = spread_batches.get(count)
+                cached = batches_by_count.get(count)
                 if cached is None:
                     template = self._spread_extents(
                         0,
@@ -359,7 +359,7 @@ class SimulatedDatabase:
                         sum(pages for _, pages in template),
                         len(template),
                     )
-                    spread_batches[count] = cached
+                    batches_by_count[count] = cached
                 batches, fact_pages, extent_count = cached
 
             yield SubqueryWork(

@@ -11,11 +11,9 @@ This reproduces the paper's observation that speed-up over the disk
 count is *slightly superlinear*: with more disks each holds less data,
 so the head travels shorter distances.
 
-Extent-group requests above ``VECTOR_MIN_EXTENTS`` extents are priced
-through numpy (one array pass instead of a Python loop); the element
-operations and the accumulation order are identical to the scalar loop,
-so both paths produce bit-identical service times.  Large groups arise
-when ``io_coalesce`` merges many granule reads into one request.
+Every read is one request of one or more extents: it is priced by
+:meth:`Disk._service` when it reaches the head (against the head
+position at that moment) and completes as one event.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ import math
 from heapq import heappush
 from math import sqrt as _sqrt
 from typing import Sequence
-
-import numpy as np
 
 from repro.sim.config import DiskParameters
 from repro.sim.engine import Environment, Event
@@ -36,10 +32,6 @@ _EVENT_NEW = Event.__new__
 
 #: E[sqrt(|x-y|)] for independent uniform x, y on [0, 1].
 _MEAN_SQRT_DISTANCE = 8.0 / 15.0
-
-#: Extent count from which `_service` switches to the numpy path.  The
-#: scalar loop wins below this because of per-call array overhead.
-VECTOR_MIN_EXTENTS = 32
 
 
 class Disk(FifoServer):
@@ -120,7 +112,7 @@ class Disk(FifoServer):
         list themselves and already track its page sum.  ``extents`` may
         be offsets against ``base`` (shared extent templates).  Queued
         requests use the flat ``(extents, done, total_pages, enqueued,
-        base)`` form that :meth:`_complete` prices inline — no closure
+        base)`` form that :meth:`_complete` prices directly — no closure
         and no nested service tuple per request.  This inlines
         :meth:`FifoServer.submit` for the idle-server case (service
         times are non-negative sums of seek, settle and transfer
@@ -141,128 +133,28 @@ class Disk(FifoServer):
             self._busy = True
             duration = self._service(extents, base)
             env._seq = seq = env._seq + 1
-            # Completions beyond the calendar window (degraded disks,
-            # huge coalesced reads) must go to the far-future buckets or
-            # they would shadow earlier bucketed entries.
-            time = env._now + duration
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (time, seq, self._complete_cb,
-                     (done, total_pages, duration)),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb,
-                     (done, total_pages, duration))
-                )
-        return done
-
-    def read_batch(
-        self, requests: list[tuple[list, int, int]]
-    ) -> Event:
-        """Several reads submitted back-to-back, fused into one event.
-
-        ``requests`` is a list of ``(extents, total_pages, base)``
-        triples (the :meth:`read_validated` argument forms).  On a FIFO
-        disk, requests submitted consecutively with no intervening
-        event are provably served back-to-back — later arrivals queue
-        behind the whole batch — so the per-request completion events
-        carry no information beyond the last one.  The fusion replays
-        the per-request accounting *exactly* (chained float completion
-        times, per-request pricing order against the moving head,
-        per-request ``queue_time``/``busy_time`` accumulator additions)
-        and triggers one completion event at the last request's
-        completion instant.  Only ``event_count`` differs from issuing
-        the requests individually.
-        """
-        env = self.env
-        done = _EVENT_NEW(Event)
-        done.env = env
-        done.callbacks = None
-        done.triggered = False
-        done.value = None
-        if self._busy:
-            # 3-tuple batch form; _complete dispatches queue entries on
-            # their length (5 = flat single read, 4 = generic submit).
-            self._queue.append((requests, done, env._now))
-        else:
-            self._busy = True
-            end, durations, pages = self._price_batch(
-                requests, env._now, 0.0, False
+            heappush(
+                env._heap,
+                (env._now + duration, seq, self._complete_cb,
+                 (done, total_pages, duration)),
             )
-            env._seq = seq = env._seq + 1
-            if end < env._cal_end:
-                heappush(
-                    env._heap,
-                    (end, seq, self._complete_cb, (done, pages, durations)),
-                )
-            else:
-                env._cal_push(
-                    (end, seq, self._complete_cb, (done, pages, durations))
-                )
         return done
-
-    def _price_batch(
-        self,
-        requests: list[tuple[list, int, int]],
-        start: float,
-        enqueued: float,
-        charge_first: bool,
-    ) -> tuple[float, list[float], int]:
-        """Price a fused batch whose first service starts at ``start``.
-
-        Returns ``(completion_time, per_request_durations, total_pages)``.
-        Each request's wait is charged to ``queue_time`` exactly as the
-        unfused path would at its service start (the first request of an
-        idle-disk submit never waited, hence ``charge_first``); the
-        chained ``t = t + duration`` float additions reproduce the
-        unfused per-completion times bit for bit.
-        """
-        durations: list[float] = []
-        append = durations.append
-        service = self._service
-        queue_time = self.queue_time
-        t = start
-        pages = 0
-        for extents, total_pages, base in requests:
-            if charge_first:
-                queue_time += t - enqueued
-            else:
-                charge_first = True
-            duration = service(extents, base)
-            append(duration)
-            t = t + duration
-            pages += total_pages
-        self.queue_time = queue_time
-        return t, durations, pages
-
-    def _price(self, service) -> float:
-        if service.__class__ is tuple:
-            return self._service(service[1], service[0])
-        return service() if callable(service) else service
 
     def _complete(self, entry) -> None:
         """:meth:`FifoServer._complete` with the disk's flat queued form
-        ``(extents, done, total_pages, enqueued, base)`` priced inline
-        (the hot case on saturated disks); 4-tuples from the generic
-        :meth:`FifoServer.submit` fall back to :meth:`_price`.  Service
-        times from :meth:`_service` are non-negative sums of seek,
-        settle and transfer components, so the generic negativity check
-        is vacuous for them.  The completion event's ``succeed`` is
-        inlined as well: the event is fresh by construction and this
-        method only ever runs during dispatch.
+        ``(extents, done, total_pages, enqueued, base)`` priced by
+        :meth:`_service` (the hot case on saturated disks); 4-tuples
+        from the generic :meth:`FifoServer.submit` fall back to
+        :meth:`_price`.  Service times from :meth:`_service` are
+        non-negative sums of seek, settle and transfer components, so
+        the generic negativity check is vacuous for them.  The
+        completion event's ``succeed`` is inlined as well: the event is
+        fresh by construction and this method only ever runs during
+        dispatch.
         """
         done, value, duration = entry
-        if duration.__class__ is float:
-            self.busy_time += duration
-            self.request_count += 1
-        else:
-            # Fused batch (read_batch): replay the per-request
-            # accumulator additions in request order.
-            for d in duration:
-                self.busy_time += d
-            self.request_count += len(duration)
+        self.busy_time += duration
+        self.request_count += 1
         queue = self._queue
         env = self.env
         if queue:
@@ -270,41 +162,7 @@ class Disk(FifoServer):
             if len(next_entry) == 5:
                 extents, next_done, next_value, enqueued, base = next_entry
                 self.queue_time += env._now - enqueued
-                if len(extents) == 1:
-                    # The single-extent pricing of _service, inlined:
-                    # one call frame per completion on saturated disks.
-                    # KEEP IN SYNC with the len==1 branch of _service —
-                    # queued and idle requests must price identically
-                    # (pinned by tests/sim/test_clustered_fastpath.py).
-                    offset, n_pages = extents[0]
-                    start_page = base + offset
-                    ppt = self._pages_per_track
-                    track = start_page / ppt
-                    distance = track - self._head_track
-                    if distance < 0.0:
-                        distance = -distance
-                    if distance == 0:
-                        seek = 0.0
-                    else:
-                        seek = self._max_seek_s * _sqrt(
-                            distance / self._total_tracks
-                        )
-                    self.seek_time += seek
-                    self.pages_read += n_pages
-                    self._head_track = (start_page + n_pages) / ppt
-                    next_duration = (
-                        seek + self._settle_s + n_pages * self._per_page_s
-                    )
-                else:
-                    next_duration = self._service(extents, base)
-                time = env._now + next_duration
-            elif len(next_entry) == 3:
-                # Queued fused batch: every request waited, so the
-                # first one charges queue_time too.
-                requests, next_done, enqueued = next_entry
-                time, next_duration, next_value = self._price_batch(
-                    requests, env._now, enqueued, True
-                )
+                next_duration = self._service(extents, base)
             else:
                 service, next_done, next_value, enqueued = next_entry
                 self.queue_time += env._now - enqueued
@@ -313,23 +171,12 @@ class Disk(FifoServer):
                     raise ValueError(
                         f"negative service time on {self.name!r}"
                     )
-                time = env._now + next_duration
             env._seq = seq = env._seq + 1
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (
-                        time,
-                        seq,
-                        self._complete_cb,
-                        (next_done, next_value, next_duration),
-                    ),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb,
-                     (next_done, next_value, next_duration))
-                )
+            heappush(
+                env._heap,
+                (env._now + next_duration, seq, self._complete_cb,
+                 (next_done, next_value, next_duration)),
+            )
         else:
             self._busy = False
         # done.succeed(value), inlined (no triggered re-check: the
@@ -359,8 +206,7 @@ class Disk(FifoServer):
             # Single-extent requests dominate bitmap-heavy plans (every
             # packed cluster extent and every sub-page bitmap fragment
             # is one extent); the direct form performs the exact same
-            # IEEE-754 operations as one loop iteration.  KEEP IN SYNC
-            # with the inlined copy in _complete (queued requests).
+            # IEEE-754 operations as one loop iteration.
             offset, n_pages = extents[0]
             start_page = base + offset
             ppt = self._pages_per_track
@@ -378,8 +224,6 @@ class Disk(FifoServer):
             self.pages_read += n_pages
             self._head_track = (start_page + n_pages) / ppt
             return seek + self._settle_s + n_pages * self._per_page_s
-        if len(extents) >= VECTOR_MIN_EXTENTS:
-            return self._service_vector(extents, base)
         ppt = self._pages_per_track
         settle = self._settle_s
         per_page = self._per_page_s
@@ -407,36 +251,4 @@ class Disk(FifoServer):
         self._head_track = head
         self.seek_time = seek_sum
         self.pages_read += pages_sum
-        return total
-
-    def _service_vector(
-        self, extents: Sequence[tuple[int, int]], base: int = 0
-    ) -> float:
-        """Numpy pricing of one extent group; bit-identical to the loop.
-
-        Element-wise IEEE-754 operations (divide, multiply, sqrt) match
-        the scalar path exactly; only the accumulations stay sequential
-        Python-float sums to reproduce the loop's rounding order.
-        """
-        array = np.asarray(extents, dtype=np.float64)
-        starts = array[:, 0]
-        if base:
-            starts = starts + base
-        pages = array[:, 1]
-        ends = (starts + pages) / self._pages_per_track
-        tracks = starts / self._pages_per_track
-        previous = np.empty_like(tracks)
-        previous[0] = self._head_track
-        previous[1:] = ends[:-1]
-        distances = np.abs(tracks - previous)
-        seeks = self._max_seek_s * np.sqrt(distances / self._total_tracks)
-        services = (seeks + self._settle_s) + pages * self._per_page_s
-        seek_sum = self.seek_time
-        total = 0.0
-        for seek, service in zip(seeks.tolist(), services.tolist()):
-            seek_sum += seek
-            total += service
-        self._head_track = float(ends[-1])
-        self.seek_time = seek_sum
-        self.pages_read += int(pages.sum())
         return total

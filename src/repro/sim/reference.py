@@ -3,12 +3,12 @@
 This module exists for one purpose: to be the *obviously correct* side
 of the stateful equivalence harness
 (``tests/properties/test_engine_equivalence.py``) that pins the
-production engine's observable timeline before any hot-loop refactor
-(batch advancement, calendar queues, ...) lands.
+production engine's observable timeline against any hot-loop
+refactor.
 
 It mirrors the public surface of :mod:`repro.sim.engine` —
-``event`` / ``timeout`` / ``timeout_at`` / ``process`` / ``all_of`` /
-``run`` / ``run_until_event`` / ``now`` / ``event_count`` — but none of its
+``event`` / ``timeout`` / ``process`` / ``all_of`` / ``run`` /
+``run_until_event`` / ``now`` / ``event_count`` — but none of its
 machinery:
 
 * one flat schedule list, fully re-sorted by ``(time, seq)`` before
@@ -150,22 +150,6 @@ class ReferenceEnvironment:
         """An event triggering ``delay`` seconds from now."""
         event = ReferenceEvent(self)
         self._schedule(delay, event.succeed, value)
-        return event
-
-    def timeout_at(self, when: float, value: Any = None) -> ReferenceEvent:
-        """An event triggering at absolute simulation time ``when``.
-
-        Not the same as ``timeout(when - now)``: ``now + (when - now)``
-        rounds, an absolute schedule does not.  ``when`` may equal
-        ``now``.
-        """
-        if when < self._now:
-            raise ValueError("cannot schedule into the past")
-        if not math.isfinite(when):
-            raise ValueError(f"delay must be finite, got {when!r}")
-        event = ReferenceEvent(self)
-        self._seq += 1
-        self._queue.append((when, self._seq, event.succeed, value))
         return event
 
     def process(self, body: ReferenceProcessBody) -> ReferenceProcess:

@@ -50,7 +50,6 @@ class QueryExecutor:
         "_finish_cost", "_bitmap_page_cost", "_row_cost", "_read_page_cost",
         "_parallel_bitmap_io", "coordinator_id", "_coordinator",
         "_slots_free", "_free_nodes", "_active", "_wake", "_disk_read",
-        "_disk_batch",
     )
 
     def __init__(
@@ -102,9 +101,6 @@ class QueryExecutor:
         #: Pre-bound read_validated of every disk: the subquery loops
         #: index this list instead of re-binding the method per read.
         self._disk_read = [disk.read_validated for disk in disks]
-        #: Pre-bound read_batch: parallel bitmap reads hitting the same
-        #: disk fuse into one request batch with one completion event.
-        self._disk_batch = [disk.read_batch for disk in disks]
 
     # -- coordinator ---------------------------------------------------------
 
@@ -232,66 +228,15 @@ class QueryExecutor:
                     # and the misses are already counted.
                     io.bitmap_ops += len(extents) * len(bitmap_disks)
                     io.bitmap_pages += pages_processed
-                    if (
-                        parallel
-                        and not env._ready
-                        and not env._heap
-                        and not env._buckets
-                        and len(set(bitmap_disks)) == len(bitmap_disks)
-                    ):
-                        # Closed-form fast-forward: the schedule is
-                        # empty, so nothing can contend with these
-                        # reads — every target disk is idle and stays
-                        # idle until its read completes.  Price each
-                        # read now (the same order the submits would)
-                        # and jump straight to the last completion via
-                        # an absolute-time event; ``now + service`` per
-                        # disk reproduces the unfused completion
-                        # instants bit for bit.
-                        disks = self.disks
-                        t0 = env._now
-                        t_end = t0
-                        for bm_disk, bm_base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            bdisk = disks[bm_disk]
-                            duration = bdisk._service(extents, bm_base)
-                            bdisk.busy_time += duration
-                            bdisk.request_count += 1
-                            t = t0 + duration
-                            if t > t_end:
-                                t_end = t
-                        yield env.timeout_at(t_end)
-                    elif parallel:
-                        # Group per disk (insertion order = first
-                        # occurrence); repeats fuse into one batch
-                        # request with one completion event.  Per-disk
-                        # submit order is preserved, so the FIFO service
-                        # order and every priced duration are identical
-                        # to the unfused reads.
-                        groups: dict[int, list] = {}
+                    if parallel:
                         for disk_id, base in zip(
                             bitmap_disks, bitmap_starts
                         ):
-                            request = (extents, pages_per_read, base)
-                            group = groups.get(disk_id)
-                            if group is None:
-                                groups[disk_id] = [request]
-                            else:
-                                group.append(request)
-                        disk_batch = self._disk_batch
-                        for disk_id, requests in groups.items():
-                            if len(requests) == 1:
-                                pending.append(
-                                    disk_read[disk_id](
-                                        extents, pages_per_read,
-                                        requests[0][2],
-                                    )
+                            pending.append(
+                                disk_read[disk_id](
+                                    extents, pages_per_read, base
                                 )
-                            else:
-                                pending.append(
-                                    disk_batch[disk_id](requests)
-                                )
+                            )
                     else:
                         for disk_id, base in zip(
                             bitmap_disks, bitmap_starts
@@ -300,7 +245,6 @@ class QueryExecutor:
                                 extents, pages_per_read, base
                             )
                 else:
-                    groups = {}
                     for disk_id, base, (to_read, read_pages) in zip(
                         bitmap_disks, bitmap_starts, probed
                     ):
@@ -308,21 +252,9 @@ class QueryExecutor:
                             continue
                         io.bitmap_ops += len(to_read)
                         io.bitmap_pages += read_pages
-                        request = (to_read, read_pages, base)
-                        group = groups.get(disk_id)
-                        if group is None:
-                            groups[disk_id] = [request]
-                        else:
-                            group.append(request)
-                    disk_batch = self._disk_batch
-                    for disk_id, requests in groups.items():
-                        if len(requests) == 1:
-                            to_read, read_pages, base = requests[0]
-                            pending.append(
-                                disk_read[disk_id](to_read, read_pages, base)
-                            )
-                        else:
-                            pending.append(disk_batch[disk_id](requests))
+                        pending.append(
+                            disk_read[disk_id](to_read, read_pages, base)
+                        )
                 if pending:
                     yield env.all_of(pending)
             else:
@@ -349,6 +281,7 @@ class QueryExecutor:
             pool = buffer.fact
             compute = node.compute
             read_page = self._read_page_cost
+            read_validated = disk_read[fact_disk]
             if pool.count_only:
                 # Distinct accesses can only miss (see probe_many):
                 # every batch is read in full, so the per-batch counter
@@ -356,51 +289,11 @@ class QueryExecutor:
                 pool.misses += work.fact_extent_count
                 io.fact_ops += work.fact_extent_count
                 io.fact_pages += work.fact_pages
-                read_validated = disk_read[fact_disk]
-                if (
-                    not env._ready
-                    and not env._heap
-                    and not env._buckets
-                ):
-                    # Closed-form fast-forward of the whole
-                    # read-then-process chain: with an empty schedule
-                    # the only future events are this loop's own, so
-                    # the disk and the node serve each step with zero
-                    # wait.  Price every read against the moving head
-                    # and chain ``t = t + duration`` exactly as the
-                    # alternating completions would, then jump to the
-                    # final instant with one absolute-time event.
-                    disk = self.disks[fact_disk]
-                    service = disk._service
-                    per_second = node._per_second
-                    disk_busy = disk.busy_time
-                    node_busy = node.busy_time
-                    instructions = 0
-                    t = env._now
-                    for batch, pages_in_batch in batches:
-                        duration = service(batch, base)
-                        disk_busy += duration
-                        t = t + duration
-                        instr = read_page * pages_in_batch + rows_per_batch
-                        instructions += int(instr)
-                        burst = instr / per_second
-                        node_busy += burst
-                        t = t + burst
-                    disk.busy_time = disk_busy
-                    disk.request_count += len(batches)
-                    node.busy_time = node_busy
-                    node.request_count += len(batches)
-                    node.instructions += instructions
-                    yield env.timeout_at(t)
-                else:
-                    for batch, pages_in_batch in batches:
-                        yield read_validated(batch, pages_in_batch, base)
-                        yield compute(
-                            read_page * pages_in_batch + rows_per_batch
-                        )
+                for batch, pages_in_batch in batches:
+                    yield read_validated(batch, pages_in_batch, base)
+                    yield compute(read_page * pages_in_batch + rows_per_batch)
             else:
                 access_extents = pool.access_extents
-                read_validated = disk_read[fact_disk]
                 for batch, pages_in_batch in batches:
                     to_read, read_pages = access_extents(
                         fact_disk, batch, base, pages_in_batch

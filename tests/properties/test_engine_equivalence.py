@@ -4,10 +4,8 @@ A Hypothesis :class:`RuleBasedStateMachine` drives
 :class:`repro.sim.engine.Environment` (ready-deque merge, inline
 succeed, fused tails) and :class:`repro.sim.reference.ReferenceEnvironment`
 (one sorted list, nothing else) through *identical* random operation
-sequences — timeouts with same-instant ties and zero-delay chains,
-absolute-time ``timeout_at`` schedules (including offsets one ulp
-either side of the production calendar-queue window and far-future
-values that land in its overflow bucket),
+sequences — timeouts with same-instant ties, zero-delay chains, delays
+one ulp apart and far-future delays,
 ``AllOf`` joins over overlapping / pre-triggered / empty child sets,
 processes that succeed events mid-dispatch, ``run(until)`` horizons
 (including horizons in the past), buffer probes through a shared-shape
@@ -23,9 +21,9 @@ timelines never diverge:
 * process return values (via ``done`` observers).
 
 This harness is the safety net that replaces byte-identical goldens
-when the engine's hot loop is rebuilt (ROADMAP: fingerprint v2 + batch
-advancement): any refactor that reorders, drops or double-counts a
-dispatch fails here long before a golden regeneration could hide it.
+when the engine's hot loop is rebuilt: the v2 fingerprints do not hash
+``event_count``, so any refactor that reorders, drops or double-counts
+a dispatch must fail here instead.
 
 Run the deep tier locally (200 examples, the nightly configuration)::
 
@@ -38,8 +36,6 @@ and the quick tier (what tier-1 CI runs)::
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given
@@ -161,9 +157,6 @@ class EngineEquivalenceMachine(RuleBasedStateMachine):
                 if kind == "timeout":
                     value = yield env.timeout(op[1], op[2])
                     results.append(value)
-                elif kind == "timeout_at":
-                    value = yield env.timeout_at(env.now + op[1], op[2])
-                    results.append(value)
                 elif kind == "wait":
                     value = yield pairs[op[1]][side]
                     results.append(value)
@@ -212,22 +205,6 @@ class EngineEquivalenceMachine(RuleBasedStateMachine):
         self._register(
             self.prod.timeout(delay, value),
             self.ref.timeout(delay, value),
-            observed,
-        )
-
-    @rule(offset=delays, value=event_values, observed=st.booleans())
-    def add_timeout_at(self, offset, value, observed):
-        """Absolute-time scheduling; ``offset`` may be 0 (fire *now*).
-
-        Bucket-boundary offsets from the ``delays`` strategy land these
-        one ulp either side of the production engine's calendar window,
-        and the huge offsets route through the far-future buckets — the
-        reference engine sorts one flat list either way.
-        """
-        when = self.ref.now + offset
-        self._register(
-            self.prod.timeout_at(when, value),
-            self.ref.timeout_at(when, value),
             observed,
         )
 
@@ -384,37 +361,6 @@ class TestValidationParity:
                 env.timeout(delay)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
-
-    @QUICK
-    @given(
-        when=st.sampled_from(
-            [-1.0, -0.001, float("nan"), float("inf"), float("-inf")]
-        )
-    )
-    def test_bad_timeout_at_rejected_identically(self, when):
-        messages = []
-        for env in (Environment(), ReferenceEnvironment()):
-            with pytest.raises(ValueError) as excinfo:
-                env.timeout_at(when)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-
-    @QUICK
-    @given(delay=delays)
-    def test_timeout_at_past_rejected_after_advance(self, delay):
-        """Once the clock has moved, times behind it are 'the past' on
-        both engines — including by a single ulp."""
-        outcomes = []
-        for env in (Environment(), ReferenceEnvironment()):
-            env.timeout(1.0 + delay)
-            env.run()
-            past = math.nextafter(env.now, 0.0)
-            try:
-                env.timeout_at(past)
-                outcomes.append("ok")
-            except ValueError as error:
-                outcomes.append(str(error))
-        assert outcomes[0] == outcomes[1]
 
     @QUICK
     @given(delay=delays, value=event_values)

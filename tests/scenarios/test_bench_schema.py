@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -323,9 +324,53 @@ class TestCliBench:
             ["bench", "--scenario", "smoke_tiny", "--jobs", "0"]
         ) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
-        assert cli_main(
-            ["bench", "--scenario", "smoke_tiny", "--workers", "0"]
-        ) == 2
+
+
+class TestAtomicWriteReport:
+    """An interrupted rewrite never corrupts the report it replaces."""
+
+    def _golden(self, tmp_path, report):
+        path = tmp_path / "BENCH_golden.json"
+        write_report(report, str(path))
+        return path, path.read_bytes()
+
+    def test_failed_write_keeps_previous_golden(
+        self, tmp_path, report, monkeypatch
+    ):
+        path, before = self._golden(tmp_path, report)
+        text = report.to_json()
+        half = len(text) // 2
+        # A lone surrogate cannot be encoded: the write fails partway.
+        monkeypatch.setattr(
+            type(report),
+            "to_json",
+            lambda self, stable=False: text[:half] + "\ud800" + text[half:],
+        )
+        with pytest.raises(UnicodeEncodeError):
+            write_report(report, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_interrupted_replace_keeps_previous_golden(
+        self, tmp_path, report, monkeypatch
+    ):
+        path, before = self._golden(tmp_path, report)
+
+        def interrupted(_src, _dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.scenarios.runner.os.replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_report(report, str(path), stable=True)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_rewrite_keeps_permission_bits(self, tmp_path, report):
+        path, _before = self._golden(tmp_path, report)
+        os.chmod(path, 0o640)
+        write_report(report, str(path), stable=True)
+        assert os.stat(path).st_mode & 0o777 == 0o640
+        validate_report(json.loads(path.read_text()))
 
 
 class TestCliRegen:

@@ -423,32 +423,27 @@ class TestDispatchEdgeCases:
 
 
 class TestCalendarQueue:
-    """Far-future entries travel through the calendar buckets; the
-    dispatch order must be indistinguishable from a single heap."""
+    """The event calendar (the future-event heap plus the ready deque)
+    dispatches in pure ``(time, seq)`` order, however far apart the
+    scheduled times are."""
 
     def test_far_and_near_interleave_in_time_order(self):
-        from repro.sim.engine import _CAL_WIDTH
-
         env = Environment()
         log = []
-        # Far first (lands in a bucket), then near (stays on the heap),
-        # then farther still — dispatch must be pure time order.
-        env.timeout(_CAL_WIDTH * 3.5).wait(lambda _v: log.append("far"))
-        env.timeout(_CAL_WIDTH * 0.25).wait(lambda _v: log.append("near"))
-        env.timeout(_CAL_WIDTH * 7.25).wait(lambda _v: log.append("farther"))
-        env.timeout(_CAL_WIDTH * 1.5).wait(lambda _v: log.append("mid"))
+        # Scheduled out of time order; dispatch must be pure time order.
+        env.timeout(3.5).wait(lambda _v: log.append("far"))
+        env.timeout(0.25).wait(lambda _v: log.append("near"))
+        env.timeout(7.25).wait(lambda _v: log.append("farther"))
+        env.timeout(1.5).wait(lambda _v: log.append("mid"))
         env.run()
         assert log == ["near", "mid", "far", "farther"]
-        assert env.now == _CAL_WIDTH * 7.25
+        assert env.now == 7.25
 
     def test_fifo_ties_preserved_across_the_window_boundary(self):
-        from repro.sim.engine import _CAL_WIDTH
-
         env = Environment()
         log = []
-        when = _CAL_WIDTH * 2.0  # beyond the initial window: bucketed
         for tag in range(4):
-            env.timeout(when, tag).wait(
+            env.timeout(2.0, tag).wait(
                 lambda _v, tag=tag: log.append(tag)
             )
         env.run()
@@ -457,68 +452,53 @@ class TestCalendarQueue:
     def test_boundary_delays_straddle_the_window_exactly(self):
         from math import nextafter
 
-        from repro.sim.engine import _CAL_WIDTH
-
         env = Environment()
         log = []
-        for when in (
-            nextafter(_CAL_WIDTH, 0.0),      # last float inside the window
-            _CAL_WIDTH,                       # first float beyond it
-            nextafter(_CAL_WIDTH, 2.0),
-        ):
+        # Three delays one ulp apart, scheduled in time order.
+        for when in (nextafter(1.0, 0.0), 1.0, nextafter(1.0, 2.0)):
             env.timeout(when, when).wait(lambda v: log.append(v))
         env.run()
         assert log == sorted(log)
-        assert env.now == nextafter(_CAL_WIDTH, 2.0)
+        assert env.now == nextafter(1.0, 2.0)
 
     def test_callback_scheduling_back_into_a_drained_bucket_range(self):
-        """A callback dispatched from a refilled bucket can schedule new
-        work inside the same bucket's time range; it must still run in
-        time order (the refill boundary walk guarantees the new entry
-        goes to the heap, not a stale bucket)."""
-        from repro.sim.engine import _CAL_WIDTH
-
+        """A callback can schedule new work that lands before an entry
+        already pending; it must still run in time order."""
         env = Environment()
         log = []
 
         def first(_value):
             log.append(("first", env.now))
-            # Same bucket range as `second`, scheduled mid-bucket.
-            env.timeout(_CAL_WIDTH * 0.2, None).wait(
+            env.timeout(0.2, None).wait(
                 lambda _v: log.append(("inserted", env.now))
             )
 
-        env.timeout(_CAL_WIDTH * 5.1).wait(first)
-        env.timeout(_CAL_WIDTH * 5.7).wait(lambda _v: log.append(("second", env.now)))
+        env.timeout(5.1).wait(first)
+        env.timeout(5.7).wait(lambda _v: log.append(("second", env.now)))
         env.run()
         assert log == [
-            ("first", _CAL_WIDTH * 5.1),
-            ("inserted", _CAL_WIDTH * 5.1 + _CAL_WIDTH * 0.2),
-            ("second", _CAL_WIDTH * 5.7),
+            ("first", 5.1),
+            ("inserted", 5.1 + 0.2),
+            ("second", 5.7),
         ]
 
     def test_resize_splits_an_overloaded_bucket(self):
-        from repro.sim.engine import _CAL_RESIZE, _CAL_WIDTH
-
         env = Environment()
         log = []
-        n = _CAL_RESIZE + 64
-        # All land in one far bucket; the refill must halve the width
-        # (at least once) before heapifying, and order must hold.
+        n = 576
+        # Many entries crowded into one unit of simulated time, with
+        # repeated times: order must hold, ties in FIFO order.
         for i in range(n):
-            when = _CAL_WIDTH * (2.0 + (i % 97) / 100.0)
+            when = 2.0 + (i % 97) / 100.0
             env.timeout(when, (when, i)).wait(lambda v: log.append(v))
         env.run()
         assert log == sorted(log)
         assert len(log) == n
-        assert env._cal_width < _CAL_WIDTH
 
     def test_extreme_far_future_times_share_the_overflow_bucket(self):
-        from repro.sim.engine import _CAL_MAX_KEY, _CAL_WIDTH
-
         env = Environment()
         log = []
-        huge = _CAL_WIDTH * _CAL_MAX_KEY * 4.0
+        huge = 1.8e19
         env.timeout(huge, "huge").wait(log.append)
         env.timeout(huge * 2.0, "huger").wait(log.append)
         env.timeout(1.0, "near").wait(log.append)
@@ -527,93 +507,21 @@ class TestCalendarQueue:
         assert env.now == huge * 2.0
 
     def test_run_until_mid_bucket_then_resume(self):
-        from repro.sim.engine import _CAL_WIDTH
-
         env = Environment()
         log = []
-        env.timeout(_CAL_WIDTH * 4.25, "bucketed").wait(log.append)
-        env.timeout(_CAL_WIDTH * 0.5, "near").wait(log.append)
-        assert env.run(until=_CAL_WIDTH * 2.0) == _CAL_WIDTH * 2.0
+        env.timeout(4.25, "later").wait(log.append)
+        env.timeout(0.5, "near").wait(log.append)
+        assert env.run(until=2.0) == 2.0
         assert log == ["near"]
-        assert env.now == _CAL_WIDTH * 2.0
+        assert env.now == 2.0
         env.run()
-        assert log == ["near", "bucketed"]
-        assert env.now == _CAL_WIDTH * 4.25
+        assert log == ["near", "later"]
+        assert env.now == 4.25
 
     def test_event_count_matches_heap_only_timeline(self):
-        """The calendar path counts dispatches exactly like the heap
-        path: one per callback, regardless of which structure carried
-        the entry."""
-        from repro.sim.engine import _CAL_WIDTH
-
+        """One count per dispatched callback."""
         env = Environment()
         for i in range(10):
-            env.timeout(_CAL_WIDTH * (0.1 + i))
+            env.timeout(0.1 + i)
         env.run()
         assert env.event_count == 10
-
-
-class TestTimeoutAt:
-    def test_fires_at_the_exact_absolute_time(self):
-        env = Environment()
-        log = []
-        env.timeout_at(2.75, "abs").wait(
-            lambda v: log.append((v, env.now))
-        )
-        env.run()
-        assert log == [("abs", 2.75)]
-
-    def test_not_equivalent_to_relative_timeout_rounding(self):
-        """The reason timeout_at exists: now + (when - now) rounds."""
-        from math import nextafter
-
-        env = Environment()
-        env.timeout(1e9).wait(lambda _v: None)
-        env.run()
-        when = nextafter(env.now, 2e9)  # one ulp ahead of now
-        log = []
-        env.timeout_at(when).wait(lambda _v: log.append(env.now))
-        env.run()
-        assert log == [when]
-        # The relative form cannot express a one-ulp step: the delay
-        # needed underflows to a rounded sum.
-        assert env.now + (when - env.now) != when or True
-
-    def test_at_current_instant_runs_after_already_scheduled_ties(self):
-        env = Environment()
-        log = []
-
-        def body():
-            yield env.timeout(1.0)
-            env.timeout(0.0, "tie").wait(lambda _v: log.append("tie"))
-            yield env.timeout_at(env.now, "at-now").wait(
-                lambda _v: log.append("at-now")
-            ) or env.timeout(0.0)
-
-        env.process(body())
-        env.run()
-        assert log == ["tie", "at-now"]
-
-    def test_into_the_past_rejected(self):
-        env = Environment()
-        env.timeout(1.0)
-        env.run()
-        with pytest.raises(ValueError, match="cannot schedule into the past"):
-            env.timeout_at(0.5)
-
-    def test_non_finite_rejected(self):
-        env = Environment()
-        for when in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="must be finite"):
-                env.timeout_at(when)
-
-    def test_beyond_the_window_goes_through_the_calendar(self):
-        from repro.sim.engine import _CAL_WIDTH
-
-        env = Environment()
-        log = []
-        env.timeout_at(_CAL_WIDTH * 9.5, "far").wait(log.append)
-        env.timeout_at(_CAL_WIDTH * 0.5, "near").wait(log.append)
-        env.run()
-        assert log == ["near", "far"]
-        assert env.now == _CAL_WIDTH * 9.5

@@ -1,11 +1,10 @@
 """Fast-path invariants: the optimisations must be behaviour-preserving.
 
 The simulator fast path (ready-deque event loop, inline succeed,
-template-based work expansion, vectorised disk pricing, counting-only
-buffers for single-query runs) is only valid because of the invariants
-tested here: FIFO dispatch order, start-time service pricing, truncated
-run accounting, scalar/vector pricing equality, and pairwise-distinct
-extent accesses within one star query.
+template-based work expansion, counting-only buffers for single-query
+runs) is only valid because of the invariants tested here: FIFO
+dispatch order, start-time service pricing, truncated run accounting,
+and pairwise-distinct extent accesses within one star query.
 """
 
 import math
@@ -13,7 +12,6 @@ import random
 
 import pytest
 
-import repro.sim.disk as disk_module
 from repro.mdhf.spec import Fragmentation
 from repro.schema.apb1 import tiny_schema
 from repro.sim.buffer import BufferPool
@@ -190,44 +188,6 @@ class TestStartTimePricing:
         assert disk.pages_read == 8
 
 
-class TestVectorisedPricing:
-    def test_vector_path_matches_scalar_exactly(self, monkeypatch):
-        params = DiskParameters()
-        extents = [(i * 97 % 5000 * 8, 3 + i % 6) for i in range(64)]
-        env_a = Environment()
-        scalar = Disk(env_a, params, 0)
-        monkeypatch.setattr(disk_module, "VECTOR_MIN_EXTENTS", 10**9)
-        scalar.read_extents(list(extents))
-        env_a.run()
-        monkeypatch.setattr(disk_module, "VECTOR_MIN_EXTENTS", 1)
-        env_b = Environment()
-        vector = Disk(env_b, params, 0)
-        vector.read_extents(list(extents))
-        env_b.run()
-        assert env_a.now == env_b.now  # bit-identical service time
-        assert scalar.seek_time == vector.seek_time
-        assert scalar.busy_time == vector.busy_time
-        assert scalar.pages_read == vector.pages_read
-        assert scalar._head_track == vector._head_track
-
-    def test_vector_threshold_routes_requests(self, monkeypatch):
-        monkeypatch.setattr(disk_module, "VECTOR_MIN_EXTENTS", 4)
-        env = Environment()
-        disk = Disk(env, DiskParameters(), 0)
-        calls = []
-        original = Disk._service_vector
-
-        def spy(self, extents, base=0):
-            calls.append(len(extents))
-            return original(self, extents, base)
-
-        monkeypatch.setattr(Disk, "_service_vector", spy)
-        disk.read_extents([(0, 8), (100, 8)])          # below threshold
-        disk.read_extents([(i * 50, 4) for i in range(6)])  # above
-        env.run()
-        assert calls == [6]
-
-
 class TestSpreadCounts:
     @pytest.mark.parametrize("rate", [0.0, 0.4, 1.0, 7.25, 112.5, 3.999999])
     def test_matches_scalar_spreader(self, rate):
@@ -288,12 +248,8 @@ class TestDistinctAccessInvariant:
 
         The response-time band is a single-user claim (contention
         amplifies request-granularity differences through queueing).
-        The event-count claim needs *contention*: two concurrent
-        streams keep the servers busy, so the scheduler's quiescent
-        fast-forward never fires and the request merging stays visible
-        in the event-driven loop's event tally.  (A single-user run
-        collapses its uncontended read chains to one event regardless
-        of coalescing.)
+        The event-count claim is checked on two concurrent streams,
+        where the merged requests show in the event tally.
         """
         from dataclasses import replace
 
