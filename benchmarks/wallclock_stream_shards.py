@@ -49,8 +49,9 @@ from repro.scenarios.runner import (
     _schema_for,
     _session_query_factory,
 )
-from repro.scenarios.shard import merge_simulation_results, plan_stream_shards
+from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import ParallelWarehouseSimulator
+from repro.workload.arrivals import partition_sessions
 
 
 def _digest(result) -> dict:
@@ -123,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         "digest": _digest(serial),
     })
 
-    plan = plan_stream_shards(run.streams, args.stream_shards)
+    slices = partition_sessions(run.streams, args.stream_shards)
     sharded = replace(run, stream_shards=args.stream_shards)
 
     print(f"[2/3] sharded x{args.stream_shards}, sequential fold",
@@ -131,11 +132,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     per_slice = []
     results = []
-    for session_slice in plan.slices:
+    for session_slice in slices:
         slice_started = time.perf_counter()
         results.append(_execute_stream_slice((sharded, *session_slice)))
         per_slice.append(round(time.perf_counter() - slice_started, 2))
-    merged = merge_simulation_results(results)
+    merged = SimulationResult.merged(results)
     series.append({
         "mode": "sharded_sequential",
         "stream_shards": args.stream_shards,
@@ -149,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(args.jobs, len(plan.nonempty_slices))
+        workers = min(
+            args.jobs, sum(1 for start, stop in slices if stop > start)
+        )
         print(f"[3/3] sharded x{args.stream_shards}, pooled across "
               f"{workers} workers", flush=True)
         started = time.perf_counter()
@@ -158,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         ) as pool:
             timed = list(pool.map(
                 _timed_slice,
-                [(sharded, *s) for s in plan.slices],
+                [(sharded, *s) for s in slices],
             ))
-        pooled = merge_simulation_results([entry[0] for entry in timed])
+        pooled = SimulationResult.merged([entry[0] for entry in timed])
         series.append({
             "mode": "sharded_pooled",
             "stream_shards": args.stream_shards,

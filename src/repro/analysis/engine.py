@@ -14,7 +14,7 @@ Orchestration order for one invocation:
    the baseline can only shrink to match reality;
 5. report ``path:line:col: RULE message`` diagnostics and exit 0
    (clean), 1 (findings / stale entries / placeholder justifications),
-   or 2 (unusable baseline file).
+   or 2 (unusable or missing baseline file).
 
 Syntax errors and unknown rule ids in suppression comments surface as
 ``LINT`` findings rather than crashes, so a typo can't disarm a rule.
@@ -210,6 +210,18 @@ def run_lint(args: argparse.Namespace, out=None) -> int:
         print(f"repro lint: not a directory: {root}", file=sys.stderr)
         return 2
     baseline_path = args.baseline or default_baseline(root)
+    if (
+        args.baseline
+        and not args.write_baseline
+        and not args.no_baseline
+        and not os.path.exists(args.baseline)
+    ):
+        # A mistyped path must not pass for an empty baseline.
+        print(
+            f"repro lint: baseline {args.baseline!r} does not exist",
+            file=sys.stderr,
+        )
+        return 2
 
     findings, suppressed = collect_findings(root)
 

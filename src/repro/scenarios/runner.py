@@ -290,20 +290,20 @@ def _execute_stream_slice(work: tuple):
 def _open_system_result(run: RunSpec, stream_jobs: int = 1):
     """One open-system run's merged ``SimulationResult``.
 
-    ``run.stream_shards == 1`` is the historical serial path, untouched.
-    Sharded runs cut the session axis with :func:`plan_stream_shards`
-    and execute the slices either sequentially in-process
-    (``stream_jobs <= 1``) or across a fork-context pool of
-    ``min(stream_jobs, nonempty slices)`` workers that inherit the
-    driver's warmed schema/database caches.  Both execution shapes fold
-    the same per-slice results through the same exact merge, so the
-    metrics are byte-identical for any ``stream_jobs``.
+    The session axis is cut into
+    :func:`~repro.workload.arrivals.partition_sessions` slices.  With
+    one worker the slices run in-process through
+    :meth:`~repro.sim.simulator.ParallelWarehouseSimulator.run_open_system_sharded`,
+    which also covers ``run.stream_shards == 1`` as the serial path.
+    Otherwise they run across a fork-context pool of ``min(stream_jobs,
+    nonempty slices)`` workers that inherit the driver's warmed
+    schema/database caches, and fold through
+    :meth:`~repro.sim.metrics.SimulationResult.merged`.  The merge is
+    exact, so the metrics are byte-identical for any ``stream_jobs``.
     """
-    from repro.scenarios.shard import (
-        merge_simulation_results,
-        plan_stream_shards,
-    )
+    from repro.sim.metrics import SimulationResult
     from repro.sim.simulator import ParallelWarehouseSimulator
+    from repro.workload.arrivals import partition_sessions
 
     schema = _schema_for(run)
     simulator = ParallelWarehouseSimulator(
@@ -312,24 +312,16 @@ def _open_system_result(run: RunSpec, stream_jobs: int = 1):
         run.sim_params(),
         database=_database_for(run, schema),
     )
-    session_queries = _session_query_factory(run, schema)
-    if run.stream_shards == 1:
-        return simulator.run_open_system(
-            run.streams, run.workload_params(), query_factory=session_queries
-        )
-    plan = plan_stream_shards(run.streams, run.stream_shards)
-    workers = min(max(1, stream_jobs), len(plan.nonempty_slices))
+    slices = partition_sessions(run.streams, run.stream_shards)
+    nonempty = sum(1 for start, stop in slices if stop > start)
+    workers = min(max(1, stream_jobs), nonempty)
     if workers <= 1:
-        results = [
-            simulator.run_open_system(
-                run.streams,
-                run.workload_params(),
-                query_factory=session_queries,
-                session_slice=session_slice,
-            )
-            for session_slice in plan.slices
-        ]
-        return merge_simulation_results(results)
+        return simulator.run_open_system_sharded(
+            run.streams,
+            run.workload_params(),
+            query_factory=_session_query_factory(run, schema),
+            stream_shards=run.stream_shards,
+        )
     from concurrent.futures import ProcessPoolExecutor
 
     # The database above was built pre-fork, so fork-context workers
@@ -340,10 +332,10 @@ def _open_system_result(run: RunSpec, stream_jobs: int = 1):
         results = list(
             pool.map(
                 _execute_stream_slice,
-                [(run, start, stop) for start, stop in plan.slices],
+                [(run, start, stop) for start, stop in slices],
             )
         )
-    return merge_simulation_results(results)
+    return SimulationResult.merged(results)
 
 
 def _open_system_metrics(run: RunSpec, stream_jobs: int = 1) -> dict:

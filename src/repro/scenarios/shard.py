@@ -288,40 +288,6 @@ def raise_shard_error(outcome: ShardOutcome) -> None:
     ) from error.exception
 
 
-@dataclass(frozen=True)
-class StreamShardPlan:
-    """The intra-run twin of :class:`ShardPlan`: one open-system run's
-    session axis split into balanced contiguous slices.
-
-    Where :class:`ShardPlan` partitions a scenario's *run list* across
-    workers, this partitions the *arrival process of one run* — each
-    slice simulates independently (bit-exact serial arrival instants,
-    one serial RNG draw stream) and the per-slice
-    ``SimulationResult``s fold with the exact merge algebra.
-    """
-
-    session_count: int
-    stream_shards: int
-    #: Balanced contiguous ``(start, stop)`` session slices; later
-    #: slices may be empty when ``stream_shards > session_count``.
-    slices: tuple[tuple[int, int], ...]
-
-    @property
-    def nonempty_slices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s for s in self.slices if s[1] > s[0])
-
-
-def plan_stream_shards(session_count: int, stream_shards: int) -> StreamShardPlan:
-    """Deterministic session partition for one open-system run."""
-    from repro.workload.arrivals import partition_sessions
-
-    return StreamShardPlan(
-        session_count=session_count,
-        stream_shards=stream_shards,
-        slices=partition_sessions(session_count, stream_shards),
-    )
-
-
 def stream_oversubscription_error(
     jobs: int, stream_shards: int, cpu_count: int | None = None
 ) -> str | None:
@@ -350,21 +316,6 @@ def stream_oversubscription_error(
         f"of parallelising. Use --jobs 1 (sequential shard fold, same "
         f"metrics byte for byte) or at most --jobs {cpu_count}."
     )
-
-
-def merge_simulation_results(results: Iterable) -> "object":
-    """Merge :class:`~repro.sim.metrics.SimulationResult` shards.
-
-    The aggregate-merge entry point for splitting one simulation's
-    *record stream* (e.g. the session axis of an open-system run)
-    across shards: accumulator states combine instead of concatenating
-    per-query record lists, so the merged aggregates are byte-identical
-    to the serial run's in any split and any merge order — including
-    empty shards (the property suite pins this).
-    """
-    from repro.sim.metrics import SimulationResult
-
-    return SimulationResult.merged(list(results))
 
 
 def summarize_outcomes(
@@ -411,7 +362,8 @@ def merge_outcomes(
     What is merged here are per-run *aggregate* results (each
     ``RunResult.metrics`` is a finished aggregate dict) — never
     per-query record lists; record streams split within one simulation
-    merge through :func:`merge_simulation_results` instead.
+    merge through :meth:`~repro.sim.metrics.SimulationResult.merged`
+    instead.
     """
     by_index: dict[int, ShardOutcome] = {}
     for outcome in outcomes:

@@ -40,8 +40,9 @@ class BufferPool:
     distinct for the rest of its life (e.g. a single star query never
     touches the same extent twice — fragments are visited once and their
     extents are disjoint).  Distinct accesses can never hit, so hit/miss
-    statistics stay exact while residency tracking is skipped; callers
-    on the hot path branch on the flag to bypass the LRU work entirely.
+    statistics stay exact while residency tracking is skipped.  The one
+    branch on the flag is the early return in :meth:`access_extents`,
+    through which the simulator makes every read; callers never test it.
     """
 
     __slots__ = ("capacity_pages", "name", "_entries", "_used_pages",
@@ -188,35 +189,6 @@ class BufferPool:
         self.misses += misses
         self._used_pages = used
         return to_read, read_pages
-
-    def probe_many(
-        self,
-        disks: list[int],
-        bases: list[int],
-        extents: list[tuple[int, int]],
-        total_pages: int,
-    ) -> list[tuple[list[tuple[int, int]], int]] | None:
-        """Bulk :meth:`access_extents` over groups sharing one template.
-
-        Probes the ``(disks[i], bases[i])`` extent groups in order, each
-        reading the shared relative ``extents`` (``total_pages`` is
-        their page sum) — the layout of a work unit's bitmap reads.
-        Hit/miss counts and the LRU state evolve exactly as per-group
-        :meth:`access_extents` calls would.  Returns one ``(to_read,
-        read_pages)`` pair per group — or ``None`` from a counting-only
-        pool, whose distinct accesses can never hit: the caller reads
-        every group in full (``None`` spares the hot path one result
-        tuple per group; the misses are counted here).
-        """
-        if self.count_only:
-            # Distinct accesses can only miss: everything is read.
-            self.misses += len(extents) * len(disks)
-            return None
-        access_extents = self.access_extents
-        return [
-            access_extents(disk, extents, base, total_pages)
-            for disk, base in zip(disks, bases)
-        ]
 
     @property
     def used_pages(self) -> int:

@@ -12,7 +12,11 @@ process ``t - 1`` subqueries at a time."
 
 Each subquery performs the bitmap phase (optionally with parallel I/O
 over the staggered bitmap fragments), then reads and processes its fact
-granules, and returns a partial aggregate to the coordinator.
+granules, and returns a partial aggregate to the coordinator.  Both
+phases probe the node's buffer through one call,
+:meth:`~repro.sim.buffer.BufferPool.access_extents`, and submit only
+the extents that missed; a counting-only pool short-circuits inside
+that call, so nothing here depends on the buffer mode.
 """
 
 from __future__ import annotations
@@ -199,75 +203,37 @@ class QueryExecutor:
         yield node.compute(self._recv_cost)
 
         # Step 4a: read and process the relevant bitmap fragments —
-        # parallel over disks if configured.  With parallel bitmap I/O
-        # (or a counting-only pool, which has no observable state) the
-        # pool is probed in bulk
-        # (:meth:`~repro.sim.buffer.BufferPool.probe_many`) before the
-        # missed groups are submitted to their disks — exactly what the
-        # sequence of probes produced before, since nothing yields
-        # between them.  Sequential bitmap I/O on a stateful LRU pool
-        # must instead probe each group only after the previous read
-        # completed: concurrent queries mutate the pool while this one
-        # waits.  Resident fragments still need CPU evaluation, so the
-        # compute burst covers every processed page, read or buffered.
+        # parallel over disks if configured.  Each group is probed and
+        # its misses submitted in turn.  Sequential bitmap I/O waits for
+        # each read before probing the next group: concurrent queries
+        # mutate a stateful pool while this one waits.  Parallel I/O
+        # probes and submits every group before it yields, so no other
+        # query touches the pool between two of its probes.  Resident
+        # fragments still need CPU evaluation, so the compute burst
+        # covers every processed page, read or buffered.
         bitmap_disks = work.bitmap_disks
         if bitmap_disks:
-            bitmap_starts = work.bitmap_starts
             extents = work.bitmap_extents
             pages_per_read = work.bitmap_pages_per_read
             parallel = self._parallel_bitmap_io
-            pool = buffer.bitmap
-            pages_processed = pages_per_read * len(bitmap_disks)
-            if parallel or pool.count_only:
-                pending: list[Event] = []
-                probed = pool.probe_many(
-                    bitmap_disks, bitmap_starts, extents, pages_per_read
+            access_extents = buffer.bitmap.access_extents
+            pending: list[Event] = []
+            for disk_id, base in zip(bitmap_disks, work.bitmap_starts):
+                to_read, read_pages = access_extents(
+                    disk_id, extents, base, pages_per_read
                 )
-                if probed is None:
-                    # Counting-only pool: every group missed in full,
-                    # and the misses are already counted.
-                    io.bitmap_ops += len(extents) * len(bitmap_disks)
-                    io.bitmap_pages += pages_processed
-                    if parallel:
-                        for disk_id, base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            pending.append(
-                                disk_read[disk_id](
-                                    extents, pages_per_read, base
-                                )
-                            )
-                    else:
-                        for disk_id, base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            yield disk_read[disk_id](
-                                extents, pages_per_read, base
-                            )
+                if not to_read:
+                    continue
+                io.bitmap_ops += len(to_read)
+                io.bitmap_pages += read_pages
+                read = disk_read[disk_id](to_read, read_pages, base)
+                if parallel:
+                    pending.append(read)
                 else:
-                    for disk_id, base, (to_read, read_pages) in zip(
-                        bitmap_disks, bitmap_starts, probed
-                    ):
-                        if not to_read:
-                            continue
-                        io.bitmap_ops += len(to_read)
-                        io.bitmap_pages += read_pages
-                        pending.append(
-                            disk_read[disk_id](to_read, read_pages, base)
-                        )
-                if pending:
-                    yield env.all_of(pending)
-            else:
-                access_extents = pool.access_extents
-                for disk_id, base in zip(bitmap_disks, bitmap_starts):
-                    to_read, read_pages = access_extents(
-                        disk_id, extents, base, pages_per_read
-                    )
-                    if not to_read:
-                        continue
-                    io.bitmap_ops += len(to_read)
-                    io.bitmap_pages += read_pages
-                    yield disk_read[disk_id](to_read, read_pages, base)
+                    yield read
+            if pending:
+                yield env.all_of(pending)
+            pages_processed = pages_per_read * len(bitmap_disks)
             if pages_processed:
                 yield node.compute(self._bitmap_page_cost * pages_processed)
 
@@ -278,31 +244,19 @@ class QueryExecutor:
             rows_per_batch = row_instructions / len(batches)
             fact_disk = work.fact_disk
             base = work.fact_start
-            pool = buffer.fact
+            access_extents = buffer.fact.access_extents
             compute = node.compute
             read_page = self._read_page_cost
             read_validated = disk_read[fact_disk]
-            if pool.count_only:
-                # Distinct accesses can only miss (see probe_many):
-                # every batch is read in full, so the per-batch counter
-                # updates collapse into per-subquery sums.
-                pool.misses += work.fact_extent_count
-                io.fact_ops += work.fact_extent_count
-                io.fact_pages += work.fact_pages
-                for batch, pages_in_batch in batches:
-                    yield read_validated(batch, pages_in_batch, base)
-                    yield compute(read_page * pages_in_batch + rows_per_batch)
-            else:
-                access_extents = pool.access_extents
-                for batch, pages_in_batch in batches:
-                    to_read, read_pages = access_extents(
-                        fact_disk, batch, base, pages_in_batch
-                    )
-                    if to_read:
-                        io.fact_ops += len(to_read)
-                        io.fact_pages += read_pages
-                        yield read_validated(to_read, read_pages, base)
-                    yield compute(read_page * pages_in_batch + rows_per_batch)
+            for batch, pages_in_batch in batches:
+                to_read, read_pages = access_extents(
+                    fact_disk, batch, base, pages_in_batch
+                )
+                if to_read:
+                    io.fact_ops += len(to_read)
+                    io.fact_pages += read_pages
+                    yield read_validated(to_read, read_pages, base)
+                yield compute(read_page * pages_in_batch + rows_per_batch)
         elif row_instructions:
             yield node.compute(row_instructions)
 

@@ -10,7 +10,7 @@ starting as soon as the previous one has terminated", Section 5).
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.bitmap.catalog import IndexCatalog
 from repro.mdhf.query import StarQuery
@@ -69,6 +69,37 @@ def _database_mismatches(
     return mismatches
 
 
+class _System(NamedTuple):
+    """The devices of one run, fresh per run."""
+
+    disks: list[Disk]
+    nodes: list[ProcessingNode]
+    network: Network
+    buffers: list[BufferManager]
+
+
+def _query_metrics(
+    query: StarQuery, executor: QueryExecutor, response_time: float, **extra
+) -> QueryMetrics:
+    """The metrics record of one finished query.
+
+    ``extra`` carries the run mode's own fields (stream id, open-system
+    arrival and admission instants).
+    """
+    io = executor.io
+    return QueryMetrics(
+        name=query.name or str(query),
+        response_time=response_time,
+        subqueries=io.subqueries,
+        fact_io_ops=io.fact_ops,
+        fact_pages=io.fact_pages,
+        bitmap_io_ops=io.bitmap_ops,
+        bitmap_pages=io.bitmap_pages,
+        coordinator_node=executor.coordinator_id,
+        **extra,
+    )
+
+
 class ParallelWarehouseSimulator:
     """A simulated Shared Disk parallel data warehouse.
 
@@ -112,9 +143,7 @@ class ParallelWarehouseSimulator:
                 staggered=self.params.staggered_allocation,
             )
 
-    def _fresh_system(
-        self, env: Environment
-    ) -> tuple[list[Disk], list[ProcessingNode], Network, list[BufferManager]]:
+    def _fresh_system(self, env: Environment) -> _System:
         """Disks, nodes, network and buffer pools for one run."""
         params = self.params
         disks = [
@@ -127,27 +156,43 @@ class ParallelWarehouseSimulator:
         ]
         network = Network(env, params.network)
         buffers = [BufferManager(params.buffer) for _ in nodes]
-        return disks, nodes, network, buffers
+        return _System(disks, nodes, network, buffers)
+
+    def _executor(
+        self,
+        env: Environment,
+        system: _System,
+        query: StarQuery,
+        rng: random.Random,
+    ) -> QueryExecutor:
+        """Plan ``query`` and bind its executor to the run's devices."""
+        return QueryExecutor(
+            env=env,
+            database=self.database,
+            plan=self.database.plan(query),
+            nodes=system.nodes,
+            disks=system.disks,
+            network=system.network,
+            buffers=system.buffers,
+            rng=rng,
+            params=self.params,
+        )
 
     @staticmethod
     def _collect_totals(
-        result: SimulationResult,
-        env: Environment,
-        disks: list[Disk],
-        nodes: list[ProcessingNode],
-        buffers: list[BufferManager],
+        result: SimulationResult, env: Environment, system: _System
     ) -> None:
         """Fold device and buffer statistics into the result."""
         result.elapsed = env.now
-        for manager in buffers:
+        for manager in system.buffers:
             for pool in (manager.fact, manager.bitmap):
                 # repro-lint: disable=DET-FLOAT -- integer counters
                 result.buffer_hits += pool.hits
                 # repro-lint: disable=DET-FLOAT -- integer counters
                 result.buffer_misses += pool.misses
-        result.disk_busy = [disk.busy_time for disk in disks]
-        result.disk_seek = [disk.seek_time for disk in disks]
-        result.cpu_busy = [node.busy_time for node in nodes]
+        result.disk_busy = [disk.busy_time for disk in system.disks]
+        result.disk_seek = [disk.seek_time for disk in system.disks]
+        result.cpu_busy = [node.busy_time for node in system.nodes]
         result.event_count = env.event_count
 
     def run(self, queries: Sequence[StarQuery]) -> SimulationResult:
@@ -156,7 +201,7 @@ class ParallelWarehouseSimulator:
             raise ValueError("need at least one query")
         params = self.params
         env = Environment()
-        disks, nodes, network, buffers = self._fresh_system(env)
+        system = self._fresh_system(env)
         if len(queries) == 1:
             # One star query never touches the same extent twice —
             # uniform, clustered (each allocation unit's packed bitmap
@@ -166,41 +211,19 @@ class ParallelWarehouseSimulator:
             # possible (see BufferManager.assume_distinct_accesses for
             # the per-path argument).  Multi-query streams keep full
             # LRU behaviour.
-            for manager in buffers:
+            for manager in system.buffers:
                 manager.assume_distinct_accesses()
         rng = random.Random(params.seed)
 
         result = SimulationResult(retention=params.record_retention)
         for query in queries:
-            plan = self.database.plan(query)
-            executor = QueryExecutor(
-                env=env,
-                database=self.database,
-                plan=plan,
-                nodes=nodes,
-                disks=disks,
-                network=network,
-                buffers=buffers,
-                rng=rng,
-                params=params,
-            )
+            executor = self._executor(env, system, query, rng)
             start = env.now
             process = env.process(executor.body())
             env.run_until_event(process.done)
-            result.record(
-                QueryMetrics(
-                    name=query.name or str(query),
-                    response_time=env.now - start,
-                    subqueries=executor.io.subqueries,
-                    fact_io_ops=executor.io.fact_ops,
-                    fact_pages=executor.io.fact_pages,
-                    bitmap_io_ops=executor.io.bitmap_ops,
-                    bitmap_pages=executor.io.bitmap_pages,
-                    coordinator_node=executor.coordinator_id,
-                )
-            )
+            result.record(_query_metrics(query, executor, env.now - start))
 
-        self._collect_totals(result, env, disks, nodes, buffers)
+        self._collect_totals(result, env, system)
         return result
 
     def run_repeated(self, query: StarQuery, repetitions: int) -> SimulationResult:
@@ -228,40 +251,22 @@ class ParallelWarehouseSimulator:
             raise ValueError("need at least one non-empty stream")
         params = self.params
         env = Environment()
-        disks, nodes, network, buffers = self._fresh_system(env)
+        system = self._fresh_system(env)
 
         result = SimulationResult(retention=params.record_retention)
 
         def stream_body(stream_id: int, queries: Sequence[StarQuery]):
             for q_index, query in enumerate(queries):
-                plan = self.database.plan(query)
-                executor = QueryExecutor(
-                    env=env,
-                    database=self.database,
-                    plan=plan,
-                    nodes=nodes,
-                    disks=disks,
-                    network=network,
-                    buffers=buffers,
-                    rng=derive_rng(params.seed, "multiuser", stream_id, q_index),
-                    params=params,
+                executor = self._executor(
+                    env, system, query,
+                    derive_rng(params.seed, "multiuser", stream_id, q_index),
                 )
                 start = env.now
                 process = env.process(executor.body())
                 yield process.done
-                result.record(
-                    QueryMetrics(
-                        name=query.name or str(query),
-                        response_time=env.now - start,
-                        subqueries=executor.io.subqueries,
-                        fact_io_ops=executor.io.fact_ops,
-                        fact_pages=executor.io.fact_pages,
-                        bitmap_io_ops=executor.io.bitmap_ops,
-                        bitmap_pages=executor.io.bitmap_pages,
-                        coordinator_node=executor.coordinator_id,
-                        stream=stream_id,
-                    )
-                )
+                result.record(_query_metrics(
+                    query, executor, env.now - start, stream=stream_id
+                ))
 
         processes = [
             env.process(stream_body(stream_id, stream))
@@ -271,7 +276,7 @@ class ParallelWarehouseSimulator:
         if not all(process.done.triggered for process in processes):
             raise RuntimeError("a query stream did not complete")
 
-        self._collect_totals(result, env, disks, nodes, buffers)
+        self._collect_totals(result, env, system)
         return result
 
     def run_open_system(
@@ -363,7 +368,7 @@ class ParallelWarehouseSimulator:
             burst_size=workload.burst_size,
         )
         env = Environment()
-        disks, nodes, network, buffers = self._fresh_system(env)
+        system = self._fresh_system(env)
         controller = AdmissionController(env, workload.max_mpl)
 
         result = SimulationResult(retention=params.record_retention)
@@ -380,37 +385,22 @@ class ParallelWarehouseSimulator:
                 arrived = env.now
                 yield controller.request()
                 admitted = env.now
-                plan = self.database.plan(query)
-                executor = QueryExecutor(
-                    env=env,
-                    database=self.database,
-                    plan=plan,
-                    nodes=nodes,
-                    disks=disks,
-                    network=network,
-                    buffers=buffers,
-                    rng=derive_rng(params.seed, "open", session_id, q_index),
-                    params=params,
+                executor = self._executor(
+                    env, system, query,
+                    derive_rng(params.seed, "open", session_id, q_index),
                 )
                 process = env.process(executor.body())
                 yield process.done
                 controller.release()
-                result.record(
-                    QueryMetrics(
-                        name=query.name or str(query),
-                        response_time=env.now - admitted,
-                        subqueries=executor.io.subqueries,
-                        fact_io_ops=executor.io.fact_ops,
-                        fact_pages=executor.io.fact_pages,
-                        bitmap_io_ops=executor.io.bitmap_ops,
-                        bitmap_pages=executor.io.bitmap_pages,
-                        coordinator_node=executor.coordinator_id,
-                        stream=session_id,
-                        arrived_at=arrived,
-                        admitted_at=admitted,
-                        queue_delay=admitted - arrived,
-                    )
-                )
+                result.record(_query_metrics(
+                    query,
+                    executor,
+                    env.now - admitted,
+                    stream=session_id,
+                    arrived_at=arrived,
+                    admitted_at=admitted,
+                    queue_delay=admitted - arrived,
+                ))
             completed_sessions += 1
 
         # A counter instead of a list of session processes: completion
@@ -443,7 +433,7 @@ class ParallelWarehouseSimulator:
         ):
             raise RuntimeError("an open-system session did not complete")
 
-        self._collect_totals(result, env, disks, nodes, buffers)
+        self._collect_totals(result, env, system)
         result.peak_mpl = controller.peak_active
         result.peak_queue_length = controller.peak_waiting
         result.queued_arrivals = controller.queued_total

@@ -209,6 +209,20 @@ class TestBaselineCli:
         assert code == 1
         assert "stale baseline entry" in out
 
+    def test_missing_explicit_baseline_fails_clearly(self, lint_cli, tmp_path):
+        # A mistyped --baseline must not silently become an empty
+        # baseline that reports every grandfathered finding as new.
+        missing = str(tmp_path / "typo.json")
+        code, out, err = lint_cli(self.FILES, "--baseline", missing)
+        assert code == 2
+        assert err.strip() == f"repro lint: baseline {missing!r} does not exist"
+        assert out == ""
+        # Writing to a new path still creates it.
+        code, _out, _err = lint_cli(
+            self.FILES, "--baseline", missing, "--write-baseline"
+        )
+        assert code == 0 and os.path.exists(missing)
+
     def test_no_baseline_reports_everything(self, lint_cli, tmp_path):
         baseline = str(tmp_path / "b.json")
         lint_cli(self.FILES, "--baseline", baseline, "--write-baseline")

@@ -21,10 +21,7 @@ import os
 import pytest
 
 from repro.scenarios import ScenarioRunner, get_scenario
-from repro.scenarios.shard import (
-    plan_stream_shards,
-    stream_oversubscription_error,
-)
+from repro.scenarios.shard import stream_oversubscription_error
 from repro.scenarios.spec import MODE_OPEN_SYSTEM, MODE_SIM, RunSpec
 from repro.cli import main
 
@@ -110,20 +107,6 @@ class TestRunnerOverride:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError, match="stream_shards"):
             ScenarioRunner("smoke_open_tiny", stream_shards=0)
-
-
-class TestShardPlan:
-    def test_plan_matches_partition(self):
-        plan = plan_stream_shards(10, 4)
-        assert plan.session_count == 10
-        assert plan.stream_shards == 4
-        assert plan.slices == ((0, 3), (3, 6), (6, 8), (8, 10))
-        assert plan.nonempty_slices == plan.slices
-
-    def test_plan_drops_empty_slices_from_nonempty(self):
-        plan = plan_stream_shards(2, 4)
-        assert len(plan.slices) == 4
-        assert plan.nonempty_slices == ((0, 1), (1, 2))
 
 
 class TestOversubscriptionGuard:

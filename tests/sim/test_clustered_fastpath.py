@@ -2,13 +2,14 @@
 
 The clustered and skewed work expansions build per-cluster extent
 arrays from shared templates in one numpy pass, bitmap reads are stored
-structure-of-arrays and probed in bulk (``BufferPool.probe_many``), and
-the counting-only shortcut extends to multi-fragment clustered
-single-query runs.  Each optimisation is only valid because of the
-invariants pinned here: probe parity with the scalar loop, packed-key
-disk validation, drift-free spreader totals, pairwise-distinct extent
-accesses under clustering/skew, and end-to-end metric equality with the
-un-shortcut buffer path.
+structure-of-arrays, and the counting-only buffer shortcut (the early
+return in ``BufferPool.access_extents``) extends to multi-fragment
+clustered single-query runs.  Each optimisation is only valid because
+of the invariants pinned here: packed-key disk validation, drift-free
+spreader totals, pairwise-distinct extent accesses under every
+expansion path, end-to-end metric equality with the un-shortcut buffer
+path, and by-value multi-user metrics of the subquery's bitmap loop
+with sequential and parallel bitmap I/O.
 """
 
 import math
@@ -44,64 +45,6 @@ def _tiny_database(**overrides):
     return schema, fragmentation, SimulatedDatabase(
         schema, fragmentation, params
     )
-
-
-# ---------------------------------------------------------------------
-# probe_many
-# ---------------------------------------------------------------------
-
-
-class TestProbeMany:
-    def _random_reads(self, rng):
-        extents = [
-            (rng.randrange(8) * 8, rng.choice([2, 4]))
-            for _ in range(rng.randrange(1, 4))
-        ]
-        total = sum(p for _, p in extents)
-        disks = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
-        bases = [rng.randrange(5) * 500 for _ in disks]
-        return disks, bases, extents, total
-
-    def test_matches_scalar_access_extents_loop(self):
-        rng = random.Random(23)
-        reference = BufferPool(96)
-        bulk = BufferPool(96)
-        for _ in range(300):
-            disks, bases, extents, total = self._random_reads(rng)
-            expected = [
-                reference.access_extents(disk, extents, base, total)
-                for disk, base in zip(disks, bases)
-            ]
-            probed = bulk.probe_many(disks, bases, extents, total)
-            assert probed == expected
-            assert (reference.hits, reference.misses) == (
-                bulk.hits, bulk.misses
-            )
-            assert reference.used_pages == bulk.used_pages
-
-    def test_count_only_short_circuits_to_none(self):
-        pool = BufferPool(100)
-        pool.count_only = True
-        extents = [(0, 2), (8, 2)]
-        result = pool.probe_many([1, 2, 3], [100, 200, 300], extents, 4)
-        assert result is None
-        # One miss per (group, extent) pair, exactly like the loop.
-        assert pool.misses == 6 and pool.hits == 0
-        assert pool.used_pages == 0
-
-    def test_lru_state_equivalence_with_interleaved_hits(self):
-        # Re-probing the same groups hits, refreshing LRU order exactly
-        # like sequential access_extents calls.
-        reference = BufferPool(1000)
-        bulk = BufferPool(1000)
-        extents = [(0, 4), (4, 4)]
-        probed = None
-        for _ in range(2):
-            for disk, base in [(0, 0), (1, 64)]:
-                reference.access_extents(disk, extents, base, 8)
-            probed = bulk.probe_many([0, 1], [0, 64], extents, 8)
-        assert probed == [([], 0), ([], 0)]
-        assert (reference.hits, reference.misses) == (bulk.hits, bulk.misses)
 
 
 # ---------------------------------------------------------------------
@@ -237,13 +180,14 @@ class TestClusteredDistinctAccesses:
     @pytest.mark.parametrize(
         "overrides",
         [
+            {},
             {"cluster_factor": 4},
             {"data_skew": 0.75},
         ],
-        ids=["clustered", "skewed"],
+        ids=["uniform", "clustered", "skewed"],
     )
     def test_count_only_metrics_equal_full_lru(self, overrides, monkeypatch):
-        """End to end: a clustered/skewed single-query run with the
+        """End to end: a uniform/clustered/skewed single-query run with the
         counting-only shortcut produces metrics identical to the full
         LRU buffer path (no hit is possible, so the shortcut is exact).
         """
@@ -274,15 +218,52 @@ class TestClusteredDistinctAccesses:
         assert with_shortcut.buffer_hits == 0
 
 
+#: Expected multi-user metrics: response times, (buffer hits, misses),
+#: event count, bitmap I/O ops.  1STORE reads one bitmap group per
+#: subquery, so both I/O modes price alike and only the ``all_of`` join
+#: events differ; 1CHANNEL1CODE reads two groups, so the sequential and
+#: parallel probe orders both show in the metrics.
+_MULTIUSER_BITMAP_REFERENCE = {
+    ("1STORE", False): (
+        [0.701285825, 0.704367665, 0.705683585,
+         0.25560576, 0.323684461, 0.329077546],
+        (2362, 1094), 34894, 547,
+    ),
+    ("1STORE", True): (
+        [0.701285825, 0.704367665, 0.705683585,
+         0.25560576, 0.323684461, 0.329077546],
+        (2362, 1094), 35441, 547,
+    ),
+    ("1CHANNEL1CODE", False): (
+        [0.143722574, 0.147848406, 0.151867801,
+         0.061291169, 0.088985194, 0.084858278],
+        (12, 204), 1815, 136,
+    ),
+    ("1CHANNEL1CODE", True): (
+        [0.132262577, 0.148924168, 0.152943563,
+         0.058421419, 0.060595642, 0.058579658],
+        (30, 186), 1841, 124,
+    ),
+}
+
+
 class TestSequentialBitmapProbeTiming:
-    def test_multiuser_sequential_bitmap_io_matches_reference(self):
-        """With ``parallel_bitmap_io=False`` and concurrent streams, a
-        stateful LRU pool must be probed only after the previous bitmap
-        read completed — other queries mutate the pool in between.
+    @pytest.mark.parametrize(
+        "template_name, parallel", sorted(_MULTIUSER_BITMAP_REFERENCE)
+    )
+    def test_multiuser_sequential_bitmap_io_matches_reference(
+        self, template_name, parallel
+    ):
+        """With concurrent streams, a stateful LRU pool must be probed
+        group by group: with ``parallel_bitmap_io=False`` only after the
+        previous bitmap read completed — other queries mutate the pool
+        in between — and with ``parallel_bitmap_io=True`` in one
+        uninterrupted probe-and-submit pass.
 
         Regression: an earlier bulk-probe draft probed every group
-        upfront, silently shifting multi-user metrics.  The expected
-        values are captured from the pre-fast-path implementation.
+        upfront, silently shifting multi-user metrics.  The sequential
+        1STORE values are captured from the pre-fast-path
+        implementation, the rest from the bulk-probe implementation.
         """
         schema = tiny_schema()
         frag = Fragmentation.parse("time::month", "product::group")
@@ -290,10 +271,10 @@ class TestSequentialBitmapProbeTiming:
             SimulationParameters().with_hardware(
                 n_disks=6, n_nodes=2, subqueries_per_node=2
             ),
-            parallel_bitmap_io=False,
+            parallel_bitmap_io=parallel,
         )
         sim = ParallelWarehouseSimulator(schema, frag, params)
-        template = query_type("1STORE")
+        template = query_type(template_name)
         streams = [
             [
                 template.instantiate(schema, random.Random(17 * s + q))
@@ -302,15 +283,15 @@ class TestSequentialBitmapProbeTiming:
             for s in range(3)
         ]
         result = sim.run_multi_user(streams)
+        response_times, buffer, event_count, bitmap_ops = (
+            _MULTIUSER_BITMAP_REFERENCE[template_name, parallel]
+        )
         assert [
             round(q.response_time, 9) for q in result.queries
-        ] == [
-            0.701285825, 0.704367665, 0.705683585,
-            0.25560576, 0.323684461, 0.329077546,
-        ]
-        assert (result.buffer_hits, result.buffer_misses) == (2362, 1094)
-        assert result.event_count == 34894
-        assert sum(q.bitmap_io_ops for q in result.queries) == 547
+        ] == response_times
+        assert (result.buffer_hits, result.buffer_misses) == buffer
+        assert result.event_count == event_count
+        assert sum(q.bitmap_io_ops for q in result.queries) == bitmap_ops
 
 
 class TestQueuedVsIdleDiskPricing:
