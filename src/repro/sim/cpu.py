@@ -9,9 +9,10 @@ instructions per second.
 from __future__ import annotations
 
 from heapq import heappush
+from math import inf
 
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import FifoServer
+from repro.sim.resources import FifoServer, reject_service
 
 #: ``Event.__new__``, bound once for the inlined allocation below.
 _EVENT_NEW = Event.__new__
@@ -39,8 +40,8 @@ class ProcessingNode(FifoServer):
         float fast path of :meth:`FifoServer.submit` without a closure
         or re-validation per request.
         """
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
+        if not 0.0 <= instructions < inf:
+            reject_service(self.name, instructions)
         self.instructions += int(instructions)
         duration = instructions / self._per_second
         env = self.env

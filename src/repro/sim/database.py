@@ -37,10 +37,12 @@ class SubqueryWork:
 
     Extents are stored *relative* to a base page: fragments of one run
     share the same extent template (they differ only in where their
-    reserved extent starts), so templates — including their grouping
-    into ``io_coalesce`` disk-request batches and the page sums per
-    batch — are built once and shared by every subquery, instead of
-    materialising per-fragment absolute extent lists.
+    reserved extent starts), and so do clusters of the same composition
+    (Section 6.3; the base is the start of the cluster's first selected
+    fragment).  Templates — including their grouping into
+    ``io_coalesce`` disk-request batches and the page sums per batch —
+    are built once and shared by every subquery, instead of
+    materialising absolute extent lists per fragment or cluster.
 
     Bitmap reads are stored structure-of-arrays: every bitmap fragment
     of one subquery shares the same relative extent template and page
@@ -54,6 +56,7 @@ class SubqueryWork:
     fragment_id: int
     fact_disk: int
     #: Base page of the fact extents; extents are offsets against it.
+    #: A cluster's base is the start page of its first selected fragment.
     fact_start: int
     #: Disk-request batches: (relative extents, pages in batch) per
     #: ``io_coalesce`` group, in fragment order.
@@ -549,12 +552,18 @@ class SimulatedDatabase:
         consecutive pages and read as one extent — the paper's remedy
         for bitmap fragments below one page (Section 6.3).
 
-        Per-fragment extent templates (identical to the uniform path's)
-        are assembled into per-cluster absolute extent arrays in one
-        numpy pass over the whole plan, and the ``io_coalesce`` batch
-        boundaries and their page sums are derived globally — the
-        per-cluster Python work is reduced to slicing the shared arrays.
-        Cluster bitmap placements come from the allocation's vectorised
+        Like the other paths, a cluster's fact extents are a shared
+        relative template plus a base page: the base is the start page
+        of the cluster's first selected fragment, and the template is
+        keyed by the cluster's composition — each selected fragment's
+        start relative to that base and its per-fragment template (the
+        full scan, or one of the plan's spread hit-granule templates).
+        Plans that select whole clusters thus share at most
+        ``cluster_factor + 1`` templates: the spreader's two-valued
+        count sequence has at most that many distinct windows.
+        Relevant rows are segment sums of the spread per-fragment
+        counts, and cluster bitmap placements come from the allocation's
+        vectorised
         :meth:`~repro.allocation.placement.DiskAllocation.bitmap_cluster_locations`.
         """
         buffer = self.params.buffer
@@ -567,8 +576,16 @@ class SimulatedDatabase:
         if not n_selected:
             return
         relevants = _spread_count_array(plan.hits_per_fragment, n_selected)
-        counts = None
-        if not plan.all_rows_relevant:
+
+        # Per-fragment extent templates: the full-scan template, or one
+        # spread template per distinct hit-granule count (the spreader
+        # emits at most two distinct counts per plan).
+        if plan.all_rows_relevant:
+            fragment_templates = [
+                self._sequential_extents(0, pages_per_fragment, prefetch)
+            ]
+            template_of = np.zeros(n_selected, dtype=np.int64)
+        else:
             hit_pages = distinct_blocks(
                 round(self._tuples_per_fragment),
                 self._tuples_per_page,
@@ -579,9 +596,21 @@ class SimulatedDatabase:
                 cardenas(granules_per_fragment, hit_pages),
             )
             counts = _spread_count_array(hit_granules, n_selected)
+            values = np.unique(counts)
+            fragment_templates = [
+                self._spread_extents(
+                    0,
+                    pages_per_fragment,
+                    prefetch,
+                    granules_per_fragment,
+                    count,
+                )
+                for count in values.tolist()
+            ]
+            template_of = np.searchsorted(values, counts)
 
         allocation = self.allocation
-        _fact_disks, fact_starts = allocation.fact_locations(ids)
+        fact_disks, fact_starts = allocation.fact_locations(ids)
         units = ids // self.params.cluster_factor
         # Group boundaries: consecutive runs of equal allocation unit.
         boundaries = np.flatnonzero(np.diff(units)) + 1
@@ -590,147 +619,78 @@ class SimulatedDatabase:
             (boundaries, np.asarray([n_selected], dtype=np.int64))
         )
         n_groups = group_starts.size
-
-        # Per-fragment extent templates: the full-scan template, or one
-        # spread template per distinct hit-granule count (the spreader
-        # emits at most two distinct counts per plan).
-        full_template = self._sequential_extents(
-            0, pages_per_fragment, prefetch
-        )
-        if counts is None:
-            distinct = [(None, full_template)]
-            template_of = np.zeros(n_selected, dtype=np.int64)
-        else:
-            values = np.unique(counts)
-            distinct = [
-                (
-                    count,
-                    self._spread_extents(
-                        0,
-                        pages_per_fragment,
-                        prefetch,
-                        granules_per_fragment,
-                        count,
-                    ),
-                )
-                for count in values.tolist()
-            ]
-            template_of = np.searchsorted(values, counts)
-        lengths_of = np.asarray(
-            [len(template) for _count, template in distinct], dtype=np.int64
-        )
-        lengths = lengths_of[template_of]
-        ext_pos = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(lengths))
-        )
-        total_extents = int(ext_pos[-1])
-
-        # Scatter each fragment's template (offsets and page counts)
-        # into the global extent arrays, then add the fragment bases.
-        offsets = np.empty(total_extents, dtype=np.int64)
-        extent_pages = np.empty(total_extents, dtype=np.int64)
-        for index, (_count, template) in enumerate(distinct):
-            length = int(lengths_of[index])
-            if not length:
-                continue
-            mask = template_of == index
-            slots = (
-                ext_pos[:-1][mask][:, None]
-                + np.arange(length, dtype=np.int64)
-            ).ravel()
-            reps = int(mask.sum())
-            array = np.asarray(template, dtype=np.int64)
-            offsets[slots] = np.tile(array[:, 0], reps)
-            extent_pages[slots] = np.tile(array[:, 1], reps)
-        abs_starts = np.repeat(fact_starts, lengths) + offsets
-
-        # io_coalesce batch boundaries, globally: batches tile each
-        # cluster's contiguous extent range, so one reduceat over the
-        # batch starts yields every batch's page sum (and one over the
-        # cluster starts every cluster's page total) exactly.
-        coalesce = self.params.io_coalesce
-        group_ext_starts = ext_pos[group_starts]
-        group_ext_ends = ext_pos[group_ends]
-        extent_counts = group_ext_ends - group_ext_starts
-        batches_per_group = -(-extent_counts // coalesce)
-        batch_prefix = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(batches_per_group))
-        )
-        total_batches = int(batch_prefix[-1])
-        within = (
-            np.arange(total_batches, dtype=np.int64)
-            - np.repeat(batch_prefix[:-1], batches_per_group)
-        )
-        batch_starts = (
-            np.repeat(group_ext_starts, batches_per_group) + within * coalesce
-        )
-        # Segment sums via cumulative sums (exact for integers, and —
-        # unlike ``reduceat`` — correct for empty segments, which arise
-        # when every fragment of a cluster has zero hit granules).
-        page_cumsum = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(extent_pages))
-        )
-        batch_ends = np.concatenate(
-            (batch_starts[1:], np.asarray([total_extents], dtype=np.int64))
-        )
-        batch_page_sums = (
-            page_cumsum[batch_ends] - page_cumsum[batch_starts]
+        selected = group_ends - group_starts
+        group_bases = fact_starts[group_starts]
+        relative_starts = (
+            fact_starts - np.repeat(group_bases, selected)
         ).tolist()
-        group_fact_pages = (
-            page_cumsum[group_ext_ends] - page_cumsum[group_ext_starts]
-        ).tolist()
-        batch_ends = batch_ends.tolist()
-        batch_start_list = batch_starts.tolist()
-        extent_list = np.stack((abs_starts, extent_pages), axis=1).tolist()
+        template_list = template_of.tolist()
 
+        # Segment sums via cumulative sums (exact for integers).
         relevant_cumsum = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
         )
         group_relevant = (
             relevant_cumsum[group_ends] - relevant_cumsum[group_starts]
         ).tolist()
-        group_units = units[group_starts]
-        selected = (group_ends - group_starts).tolist()
-        group_ids = ids[group_starts].tolist()
-        group_fact_disks = _fact_disks[group_starts].tolist()
-        batch_first = batch_prefix[:-1].tolist()
-        batch_last = batch_prefix[1:].tolist()
 
         n_bitmaps = plan.bitmaps_per_fragment
         if n_bitmaps:
             bitmap_disk_rows, bitmap_start_rows, cluster_pages = (
                 allocation.bitmap_cluster_locations(
-                    group_units, group_ends - group_starts, n_bitmaps
+                    units[group_starts], selected, n_bitmaps
                 )
             )
         else:
             cluster_pages = [0] * n_groups
 
-        group_extent_counts = extent_counts.tolist()
+        coalesce = self.params.io_coalesce
+        cluster_templates: dict[
+            tuple[tuple[int, ...], tuple[int, ...]],
+            tuple[list[tuple[list[tuple[int, int]], int]], int, int],
+        ] = {}
+        group_ids = ids[group_starts].tolist()
+        group_fact_disks = fact_disks[group_starts].tolist()
+        group_base_list = group_bases.tolist()
+        first_list = group_starts.tolist()
+        end_list = group_ends.tolist()
+        selected_list = selected.tolist()
         empty: list = []
         for g in range(n_groups):
-            fact_batches = [
-                (
-                    extent_list[batch_start_list[b] : batch_ends[b]],
-                    batch_page_sums[b],
+            first, end = first_list[g], end_list[g]
+            key = (
+                tuple(relative_starts[first:end]),
+                tuple(template_list[first:end]),
+            )
+            cached = cluster_templates.get(key)
+            if cached is None:
+                extents = [
+                    (relative + offset, pages)
+                    for relative, index in zip(*key)
+                    for offset, pages in fragment_templates[index]
+                ]
+                cached = (
+                    batch_extents(extents, coalesce),
+                    sum(pages for _, pages in extents),
+                    len(extents),
                 )
-                for b in range(batch_first[g], batch_last[g])
-            ]
+                cluster_templates[key] = cached
+            fact_batches, fact_pages, extent_count = cached
             pages = cluster_pages[g]
             yield SubqueryWork(
                 fragment_id=group_ids[g],
                 fact_disk=group_fact_disks[g],
-                fact_start=0,
+                fact_start=group_base_list[g],
                 fact_batches=fact_batches,
-                fact_pages=group_fact_pages[g],
+                fact_pages=fact_pages,
                 bitmap_disks=bitmap_disk_rows[g] if n_bitmaps else empty,
                 bitmap_starts=bitmap_start_rows[g] if n_bitmaps else empty,
                 bitmap_extents=[(0, pages)] if n_bitmaps else empty,
                 bitmap_pages_per_read=pages,
                 bitmap_pages=pages * n_bitmaps,
                 relevant_rows=group_relevant[g],
-                fact_extent_count=group_extent_counts[g],
-                fragment_count=selected[g],
+                fact_extent_count=extent_count,
+                fragment_count=selected_list[g],
             )
 
     @staticmethod

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from heapq import heappush
+from math import inf
 from math import sqrt as _sqrt
 from typing import Sequence
 
 from repro.sim.config import DiskParameters
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import FifoServer
+from repro.sim.resources import FifoServer, reject_service
 
 #: ``Event.__new__``, bound once for the inlined allocations below.
 _EVENT_NEW = Event.__new__
@@ -167,10 +168,8 @@ class Disk(FifoServer):
                 service, next_done, next_value, enqueued = next_entry
                 self.queue_time += env._now - enqueued
                 next_duration = self._price(service)
-                if next_duration < 0:
-                    raise ValueError(
-                        f"negative service time on {self.name!r}"
-                    )
+                if not 0.0 <= next_duration < inf:
+                    reject_service(self.name, next_duration)
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,

@@ -24,12 +24,27 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
+from math import inf
 from typing import Any, Callable
 
 from repro.sim.engine import Environment, Event
 
 #: Tolerance for the utilization sanity check (float accumulation).
 _UTILIZATION_SLACK = 1e-9
+
+
+def reject_service(name: str, duration: float) -> None:
+    """Raise the one-line ValueError for a service time outside
+    ``[0, inf)`` on server ``name``.
+
+    The servers' guard is ``not 0.0 <= duration < inf``: a plain
+    ``duration < 0`` lets NaN through (it compares false to everything)
+    and a NaN or infinite completion time would corrupt or stall the
+    event heap, as :func:`repro.sim.engine._reject_delay` explains.
+    """
+    if duration < 0:
+        raise ValueError(f"negative service time on {name!r}")
+    raise ValueError(f"non-finite service time {duration!r} on {name!r}")
 
 
 class FifoServer:
@@ -86,8 +101,8 @@ class FifoServer:
         else:
             self._busy = True
             duration = self._price(service)
-            if duration < 0:
-                raise ValueError(f"negative service time on {self.name!r}")
+            if not 0.0 <= duration < inf:
+                reject_service(self.name, duration)
             # Scheduling inlined (hot path): a zero-duration completion
             # lands on the heap at (now, seq), which the dispatch merge
             # orders exactly like the ready deque would.
@@ -115,8 +130,8 @@ class FifoServer:
                 if service.__class__ is float
                 else self._price(service)
             )
-            if next_duration < 0:
-                raise ValueError(f"negative service time on {self.name!r}")
+            if not 0.0 <= next_duration < inf:
+                reject_service(self.name, next_duration)
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,

@@ -1,15 +1,18 @@
 """Clustered/skewed fast-path invariants (behaviour-preserving claims).
 
-The clustered and skewed work expansions build per-cluster extent
-arrays from shared templates in one numpy pass, bitmap reads are stored
-structure-of-arrays, and the counting-only buffer shortcut (the early
-return in ``BufferPool.access_extents``) extends to multi-fragment
-clustered single-query runs.  Each optimisation is only valid because
-of the invariants pinned here: packed-key disk validation, drift-free
-spreader totals, pairwise-distinct extent accesses under every
-expansion path, end-to-end metric equality with the un-shortcut buffer
-path, and by-value multi-user metrics of the subquery's bitmap loop
-with sequential and parallel bitmap I/O.
+The clustered expansion hands every cluster a shared relative extent
+template (keyed by the cluster's composition) plus a base page, the
+skewed expansion shares population-keyed templates, bitmap reads are
+stored structure-of-arrays, and the counting-only buffer shortcut (the
+early return in ``BufferPool.access_extents``) extends to
+multi-fragment clustered single-query runs.  Each optimisation is only
+valid because of the invariants pinned here: clustered work units equal
+a per-fragment reference built straight from the allocation, templates
+are shared, packed-key disk validation, drift-free spreader totals,
+pairwise-distinct extent accesses under every expansion path,
+end-to-end metric equality with the un-shortcut buffer path, and
+by-value multi-user metrics of the subquery's bitmap loop with
+sequential and parallel bitmap I/O.
 """
 
 import math
@@ -18,6 +21,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.costmodel.estimator import cardenas, distinct_blocks
 from repro.mdhf.spec import Fragmentation
 from repro.schema.apb1 import tiny_schema
 from repro.sim.buffer import BufferManager, BufferPool, _MAX_DISK
@@ -150,6 +154,176 @@ def _collect_keys(database, plan):
             for start, _pages in extents:
                 bitmap_keys.append((disk, start))
     return fact_keys, bitmap_keys
+
+
+#: Clustered layouts on ``tiny_schema``: (density, fragmentation,
+#: page size, fact prefetch granule).  ``one_page`` has one-page
+#: fragments, ``multi_granule`` 15-page fragments of 8 granules (the
+#: last one short), and ``sparse`` 2-page fragments whose 1STORE hit
+#: granules spread below 0.5 per fragment, so cluster pairs with no hit
+#: granule at all occur.
+_CLUSTER_LAYOUTS = {
+    "one_page": (0.25, ("time::month", "product::group"), 4096, 8),
+    "multi_granule": (0.25, ("time::month", "product::group"), 40, 2),
+    "sparse": (0.1, ("time::month", "product::code"), 40, 1),
+}
+
+
+def _clustered_database(layout, cluster_factor, io_coalesce=1):
+    density, fragmentation, page_size, prefetch = _CLUSTER_LAYOUTS[layout]
+    schema = tiny_schema(density=density)
+    params = _tiny_params(
+        cluster_factor=cluster_factor, io_coalesce=io_coalesce
+    )
+    params = replace(
+        params,
+        buffer=replace(
+            params.buffer, page_size=page_size, prefetch_fact_pages=prefetch
+        ),
+    )
+    database = SimulatedDatabase(
+        schema, Fragmentation.parse(*fragmentation), params
+    )
+    return schema, database
+
+
+def _reference_clusters(database, plan):
+    """Per-fragment reference of a clustered expansion.
+
+    Walks the selected fragments one at a time: each fragment's absolute
+    extents come from its :meth:`DiskAllocation.fact_location` and the
+    scalar ``_sequential_extents`` / ``_spread_extents`` with the scalar
+    spreader's hit-granule count; consecutive fragments of one
+    allocation unit form a cluster whose extents are cut into
+    ``io_coalesce`` batches.  Returns one dict per cluster.
+    """
+    allocation = database.allocation
+    prefetch = database.params.buffer.prefetch_fact_pages
+    coalesce = database.params.io_coalesce
+    pages = allocation.fact_pages_per_fragment
+    granules = math.ceil(pages / prefetch)
+    rows = _Spreader(plan.hits_per_fragment)
+    hits = None
+    if not plan.all_rows_relevant:
+        hit_pages = distinct_blocks(
+            round(database._tuples_per_fragment),
+            database._tuples_per_page,
+            plan.hits_per_fragment,
+        )
+        hits = _Spreader(min(float(granules), cardenas(granules, hit_pages)))
+
+    clusters = []
+    for fragment_id in plan.fragment_id_array(database.geometry).tolist():
+        disk, start = allocation.fact_location(fragment_id)
+        if hits is None:
+            extents = database._sequential_extents(start, pages, prefetch)
+        else:
+            extents = database._spread_extents(
+                start, pages, prefetch, granules, hits.next()
+            )
+        unit = allocation.unit_of(fragment_id)
+        if not clusters or clusters[-1]["unit"] != unit:
+            clusters.append(
+                {"unit": unit, "first": fragment_id, "disk": disk,
+                 "extents": [], "rows": 0, "fragments": 0}
+            )
+        cluster = clusters[-1]
+        assert cluster["disk"] == disk
+        cluster["extents"].extend(extents)
+        cluster["rows"] += rows.next()
+        cluster["fragments"] += 1
+    for cluster in clusters:
+        extents = cluster["extents"]
+        cluster["batch_sizes"] = [
+            len(extents[i : i + coalesce])
+            for i in range(0, len(extents), coalesce)
+        ]
+        cluster["batch_pages"] = [
+            sum(p for _s, p in extents[i : i + coalesce])
+            for i in range(0, len(extents), coalesce)
+        ]
+    return clusters
+
+
+class TestClusteredReferenceOracle:
+    """Clustered work units equal an independent per-fragment reference."""
+
+    @pytest.mark.parametrize("layout", sorted(_CLUSTER_LAYOUTS))
+    @pytest.mark.parametrize("query_name", ["1STORE", "1CODE", "1MONTH"])
+    @pytest.mark.parametrize("io_coalesce", [1, 3, 8])
+    @pytest.mark.parametrize("cluster_factor", [2, 4, 8])
+    def test_work_units_match_reference(
+        self, layout, query_name, io_coalesce, cluster_factor
+    ):
+        schema, database = _clustered_database(
+            layout, cluster_factor, io_coalesce
+        )
+        query = query_type(query_name).instantiate(schema, random.Random(0))
+        plan = database.plan(query)
+        works = list(database.iter_subquery_work(plan))
+        expected = _reference_clusters(database, plan)
+        assert len(works) == len(expected)
+        for work, cluster in zip(works, expected):
+            assert work.fragment_id == cluster["first"]
+            assert work.fact_disk == cluster["disk"]
+            assert work.fragment_count == cluster["fragments"]
+            assert work.relevant_rows == cluster["rows"]
+            assert work.fact_extents == cluster["extents"]
+            assert [
+                len(batch) for batch, _pages in work.fact_batches
+            ] == cluster["batch_sizes"]
+            assert [
+                pages for _batch, pages in work.fact_batches
+            ] == cluster["batch_pages"]
+            assert work.fact_pages == sum(p for _s, p in cluster["extents"])
+            assert work.fact_extent_count == len(cluster["extents"])
+
+    @pytest.mark.parametrize(
+        "layout, query_name, cluster_factor, kind",
+        [
+            ("one_page", "1CODE", 4, "partial"),
+            ("multi_granule", "1CODE", 8, "partial"),
+            ("sparse", "1STORE", 2, "zero_hit"),
+        ],
+    )
+    def test_reference_cases_are_covered(
+        self, layout, query_name, cluster_factor, kind
+    ):
+        # Meta-check: the matrix above does contain partial clusters
+        # and clusters without a single hit granule.
+        schema, database = _clustered_database(layout, cluster_factor)
+        query = query_type(query_name).instantiate(schema, random.Random(0))
+        works = list(database.iter_subquery_work(database.plan(query)))
+        if kind == "partial":
+            assert any(w.fragment_count < cluster_factor for w in works)
+        else:
+            empty = [w for w in works if not w.fact_extent_count]
+            assert empty and any(w.fact_extent_count for w in works)
+            assert all(
+                w.fact_batches == [] and w.fact_pages == 0 for w in empty
+            )
+
+    @pytest.mark.parametrize("layout", ["multi_granule", "sparse"])
+    @pytest.mark.parametrize("cluster_factor", [2, 4, 8])
+    def test_whole_clusters_share_few_templates(self, layout, cluster_factor):
+        # The spreader's two-valued count sequence has at most c + 1
+        # distinct windows of length c, so whole clusters need at most
+        # cluster_factor + 1 cluster templates.
+        schema, database = _clustered_database(layout, cluster_factor)
+        query = query_type("1STORE").instantiate(schema, random.Random(0))
+        plan = database.plan(query)
+        works = list(database.iter_subquery_work(plan))
+        assert all(w.fragment_count == cluster_factor for w in works)
+        distinct = {id(w.fact_batches) for w in works}
+        assert len(distinct) <= cluster_factor + 1
+        assert len(works) > 4 * len(distinct)
+
+    def test_base_is_first_fragment_start(self):
+        schema, database = _clustered_database("multi_granule", 4, 3)
+        query = query_type("1CODE").instantiate(schema, random.Random(0))
+        for work in database.iter_subquery_work(database.plan(query)):
+            _disk, start = database.allocation.fact_location(work.fragment_id)
+            assert work.fact_start == start
 
 
 class TestClusteredDistinctAccesses:

@@ -15,6 +15,9 @@ from repro.sim.engine import Environment
 from repro.sim.network import Network, receive_instructions, send_instructions
 from repro.sim.resources import FifoServer
 
+_NAN = float("nan")
+_INF = float("inf")
+
 
 class TestFifoServer:
     def test_serves_in_order(self):
@@ -58,6 +61,37 @@ class TestFifoServer:
         # The server is idle, so service is priced immediately.
         with pytest.raises(ValueError):
             server.submit(lambda: -1.0)
+
+    @pytest.mark.parametrize("service", [_NAN, _INF])
+    def test_non_finite_service_rejected_when_idle(self, service):
+        env = Environment()
+        server = FifoServer(env, "srv")
+        # Float and priced-at-start forms take the same guard.
+        with pytest.raises(ValueError, match="service time.* on 'srv'"):
+            server.submit(service)
+        with pytest.raises(ValueError, match="service time.* on 'srv'"):
+            FifoServer(env, "srv").submit(lambda: service)
+
+    @pytest.mark.parametrize("service", [_NAN, _INF])
+    def test_non_finite_service_rejected_when_queued(self, service):
+        # Regression: only ``duration < 0`` was checked, so a queued NaN
+        # reached the heap and the clock ended at nan.
+        env = Environment()
+        server = FifoServer(env, "srv")
+        server.submit(1.0)
+        server.submit(service)
+        with pytest.raises(ValueError, match="non-finite service time"):
+            env.run()
+        assert env.now == 1.0
+
+    @pytest.mark.parametrize("service", [_NAN, _INF])
+    def test_disk_generic_queue_rejects_non_finite(self, service):
+        env = Environment()
+        disk = Disk(env, DiskParameters(), disk_id=3)
+        disk.read(0, 4)
+        disk.submit(lambda: service)
+        with pytest.raises(ValueError, match="non-finite .* on 'disk3'"):
+            env.run()
 
 
 class TestDisk:
@@ -149,6 +183,16 @@ class TestProcessingNode:
         node = ProcessingNode(env, 0, cpu_mips=50.0)
         with pytest.raises(ValueError):
             node.compute(-1)
+
+    @pytest.mark.parametrize("instructions", [_NAN, _INF])
+    def test_non_finite_instructions_rejected(self, instructions):
+        # Regression: NaN failed inside ``int()`` and inf raised
+        # OverflowError instead of a ValueError naming the node.
+        env = Environment()
+        node = ProcessingNode(env, 7, cpu_mips=50.0)
+        with pytest.raises(ValueError, match="non-finite .* on 'node7'"):
+            node.compute(instructions)
+        assert node.instructions == 0
 
 
 class TestNetwork:
